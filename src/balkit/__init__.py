@@ -9,12 +9,8 @@ rationals with no floating point anywhere.
 from .convolutions import (
     brute_conv,
     closed_form_raw,
-    conv_balancing_closed,
     conv_balancing_r0,
     conv_closed,
-    conv_fibonacci_closed,
-    conv_lucas_balancing_closed,
-    conv_lucas_closed,
 )
 from .genfunc import RationalGF, expand, gf, series_mul
 from .identities import (

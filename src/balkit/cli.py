@@ -2,10 +2,10 @@
 comparison, generating-function expansion, tail-floor certification, and an
 umbrella verify-all.
 
-Exit codes: 0 all checks pass, 1 mathematical mismatch or undecided interval,
-2 usage error.  Reports print as text by default or as canonical JSON
-(--format json); --output writes the JSON report to a file either way.
-Big integers are serialized as decimal strings.
+Exit codes: 0 all checks pass, 1 mathematical mismatch, undecided interval or
+other arithmetic failure, 2 usage error.  Reports print as text by default or
+as canonical JSON (--format json); --output writes the JSON report to a file
+either way.  Big integers are serialized as decimal strings.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ def render_json(report: dict) -> str:
 
 
 def _emit(report: dict, args, text_lines: list[str]) -> None:
+    rendered = render_json(report) if args.format == "json" or args.output else None
     if args.format == "json":
-        sys.stdout.write(render_json(report))
+        sys.stdout.write(rendered)
     else:
         for line in text_lines:
             print(line)
@@ -77,7 +78,7 @@ def _emit(report: dict, args, text_lines: list[str]) -> None:
               f"  ({report['wall_time_s']:.3f}s)")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(render_json(report))
+            fh.write(rendered)
 
 
 def _jobs(args) -> int:
@@ -159,85 +160,42 @@ def cmd_conv(args) -> int:
 
 # -- identity ------------------------------------------------------------------
 #
-# Each catalog entry: grid builder from args, and a module-level case runner
-# (picklable for the worker pool).
-
-def _case_catalan(p):
-    n, r = p
-    return ident.check_catalan(n, r)
-
-
-def _case_odd_sum(p):
-    return ident.check_odd_index_sum(p[0])
-
-
-def _case_shifted(p):
-    return ident.check_shifted_product(p[0], p[1])
-
-
-def _case_addition(p):
-    return ident.check_addition(p[0], p[1])
-
-
-def _case_combination(p):
-    return ident.check_combination(p[0], p[1])
-
-
-def _case_gcd(p):
-    return ident.check_gcd(p[0], p[1])
-
-
-def _case_prime(p):
-    return ident.check_prime_congruences(p[0])
-
-
-def _case_mod_companion(p):
-    return ident.check_mod_companion(p[0])
-
-
-def _case_binom3(p):
-    return ident.check_binomial_3pow(p[0])
-
-
-def _case_binom_plain(p):
-    return ident.check_binomial_plain(p[0])
-
-
-def _case_second_order(p):
-    return ident.check_second_order_product(p[0])
-
+# Each catalog entry: the identities check and a grid builder from args.
 
 IDENTITY_CATALOG = {
-    "catalan": (_case_catalan,
+    "catalan": (ident.check_catalan,
                 lambda a: [(n, r) for n in range(a.max + 1) for r in range(n + 1)]),
-    "odd-sum": (_case_odd_sum, lambda a: [(n,) for n in range(1, a.max + 1)]),
-    "shifted-product": (_case_shifted,
+    "odd-sum": (ident.check_odd_index_sum, lambda a: [(n,) for n in range(1, a.max + 1)]),
+    "shifted-product": (ident.check_shifted_product,
                         lambda a: [(x, y) for x in range(a.max + 1) for y in range(a.max + 1)]),
-    "addition": (_case_addition,
+    "addition": (ident.check_addition,
                  lambda a: [(m, n) for n in range(a.max + 1) for m in range(n + 1)]),
-    "combination": (_case_combination,
+    "combination": (ident.check_combination,
                     lambda a: [(m, n) for m in range(1, a.max + 1) for n in range(1, a.max + 1)]),
-    "gcd": (_case_gcd,
+    "gcd": (ident.check_gcd,
             lambda a: [(m, n) for m in range(1, a.max + 1) for n in range(1, a.max + 1)]),
-    "prime-congruence": (_case_prime,
+    "prime-congruence": (ident.check_prime_congruences,
                          lambda a: [(p,) for p in ident.primes_up_to(a.max_prime - 1) if p > 2]),
-    "mod-companion": (_case_mod_companion, lambda a: [(m,) for m in range(1, a.max + 1)]),
-    "binomial-3pow": (_case_binom3, lambda a: [(n,) for n in range(a.max + 1)]),
-    "binomial-plain": (_case_binom_plain, lambda a: [(n,) for n in range(a.max + 1)]),
-    "second-order-product": (_case_second_order,
+    "mod-companion": (ident.check_mod_companion, lambda a: [(m,) for m in range(1, a.max + 1)]),
+    "binomial-3pow": (ident.check_binomial_3pow, lambda a: [(n,) for n in range(a.max + 1)]),
+    "binomial-plain": (ident.check_binomial_plain, lambda a: [(n,) for n in range(a.max + 1)]),
+    "second-order-product": (ident.check_second_order_product,
                              lambda a: [(n,) for n in range(4, a.max + 1)]),
 }
 
 
-def _run_sweep(case, grid, jobs: int) -> tuple[int, list[dict]]:
-    """Run Verdict cases over a grid, serially or across a process pool.
-    Returns (failed, per-case items)."""
+def _run_sweep(check, grid, jobs: int) -> tuple[int, list[dict]]:
+    """Run a Verdict check over a grid of parameter tuples, serially or across
+    a process pool.  Returns (failed, per-case items)."""
+    # The identities module's current binding runs, so that a check wrapped or
+    # patched after import is the one called, and the pool pickles it by name.
+    check = getattr(ident, check.__name__)
     if jobs > 1 and len(grid) >= 256:
         chunk = max(16, len(grid) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(case, grid, chunksize=chunk))
+            verdicts = list(pool.map(check, *zip(*grid), chunksize=chunk))
     else:
-        verdicts = [case(p) for p in grid]
+        verdicts = [check(*p) for p in grid]
     items = []
     failed = 0
     for p, v in zip(grid, verdicts):
@@ -255,9 +213,9 @@ def cmd_identity(args) -> int:
     if args.name not in IDENTITY_CATALOG:
         raise UsageError(f"unknown identity {args.name!r}; known: "
                          + ", ".join(sorted(IDENTITY_CATALOG)))
-    case, grid_fn = IDENTITY_CATALOG[args.name]
+    check, grid_fn = IDENTITY_CATALOG[args.name]
     grid = grid_fn(args)
-    failed, items = _run_sweep(case, grid, _jobs(args))
+    failed, items = _run_sweep(check, grid, _jobs(args))
     report = _report("identity", {"name": args.name, "max": getattr(args, "max", None),
                                   "max_prime": getattr(args, "max_prime", None)},
                      items, failed, t0)
@@ -341,19 +299,18 @@ def _unit_kernel() -> tuple[int, int]:
     return checked, failed
 
 
+# (catalog name, --max or --max-prime) of the identity sweeps verify-all runs.
+_VERIFY_IDENTITIES = (("gcd", 150), ("catalan", 100), ("prime-congruence", 10000),
+                      ("mod-companion", 60), ("binomial-3pow", 60), ("binomial-plain", 60),
+                      ("second-order-product", 200))
+
+
 def _unit_identities(jobs: int) -> tuple[int, int]:
     checked = failed = 0
-    sweeps = [
-        (_case_gcd, [(m, n) for m in range(1, 151) for n in range(1, 151)]),
-        (_case_catalan, [(n, r) for n in range(101) for r in range(n + 1)]),
-        (_case_prime, [(p,) for p in ident.primes_up_to(9999) if p > 2]),
-        (_case_mod_companion, [(m,) for m in range(1, 61)]),
-        (_case_binom3, [(n,) for n in range(61)]),
-        (_case_binom_plain, [(n,) for n in range(61)]),
-        (_case_second_order, [(n,) for n in range(4, 201)]),
-    ]
-    for case, grid in sweeps:
-        bad, _ = _run_sweep(case, grid, jobs)
+    for name, bound in _VERIFY_IDENTITIES:
+        check, grid_fn = IDENTITY_CATALOG[name]
+        grid = grid_fn(argparse.Namespace(max=bound, max_prime=bound))
+        bad, _ = _run_sweep(check, grid, jobs)
         checked += len(grid)
         failed += bad
     return checked, failed
@@ -531,9 +488,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .quadfield import GaussQuad, QuadRat, certified_int
-from .sequences import BALANCING, FIBONACCI, LUCAS, LUCAS_BALANCING, Sequence, term
+from .sequences import BALANCING, FIBONACCI, LUCAS, LUCAS_BALANCING, Sequence, _memo
 
 
 def _validate(k: int, r: int, n: int) -> None:
@@ -27,20 +27,8 @@ def _validate(k: int, r: int, n: int) -> None:
 def brute_conv(seq: Sequence, k: int, r: int, n: int) -> int:
     """sum over m = 0..n of term(k*m + r) * term(k*(n-m) + r)."""
     _validate(k, r, n)
-    sub = _strided(seq.key, k, r, n)
+    sub = [_memo(seq, k * m + r) for m in range(n + 1)]
     return sum(sub[m] * sub[n - m] for m in range(n + 1))
-
-
-_FAMILIES = {s.key: s for s in (BALANCING, LUCAS_BALANCING, FIBONACCI, LUCAS)}
-
-
-@lru_cache(maxsize=None)
-def _t(key: str, n: int) -> int:
-    return term(_FAMILIES[key], n)
-
-
-def _strided(key: str, k: int, r: int, n: int) -> list[int]:
-    return [_t(key, k * m + r) for m in range(n + 1)]
 
 
 # -- inner weights -----------------------------------------------------------
@@ -61,7 +49,7 @@ def _invpow(base, j: int):
 
 @lru_cache(maxsize=None)
 def _weight_balancing(k: int, r: int, j: int) -> Fraction:
-    bk, br, bkr = _t("balancing", k), _t("balancing", r), _t("balancing", k - r)
+    bk, br, bkr = _memo(BALANCING, k), _memo(BALANCING, r), _memo(BALANCING, k - r)
     plus = _invpow(Fraction(bk + br), j)
     minus = _invpow(Fraction(bk - br), j)
     return Fraction(bk * bkr ** j, 2) * ((-1) ** j * plus + minus)
@@ -69,8 +57,8 @@ def _weight_balancing(k: int, r: int, j: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _weight_lucas_balancing(k: int, r: int, j: int) -> GaussQuad:
-    bk = _t("balancing", k)
-    cr, ckr = _t("lucas-balancing", r), _t("lucas-balancing", k - r)
+    bk = _memo(BALANCING, k)
+    cr, ckr = _memo(LUCAS_BALANCING, r), _memo(LUCAS_BALANCING, k - r)
     x = QuadRat.of(0, 2 * bk, 2)  # 2 sqrt(2) B(k)
     plus = _invpow(GaussQuad.of(x, QuadRat.of(cr, 0, 2)), j)
     minus = _invpow(GaussQuad.of(x, QuadRat.of(-cr, 0, 2)), j)
@@ -80,7 +68,7 @@ def _weight_lucas_balancing(k: int, r: int, j: int) -> GaussQuad:
 
 @lru_cache(maxsize=None)
 def _weight_fibonacci(k: int, r: int, j: int):
-    fk, fr, fkr = _t("fibonacci", k), _t("fibonacci", r), _t("fibonacci", k - r)
+    fk, fr, fkr = _memo(FIBONACCI, k), _memo(FIBONACCI, r), _memo(FIBONACCI, k - r)
     sign = (-1) ** (k * j)
     if (k - r) % 2 == 0:
         plus = _invpow(Fraction(fk + fr), j)
@@ -94,8 +82,8 @@ def _weight_fibonacci(k: int, r: int, j: int):
 
 @lru_cache(maxsize=None)
 def _weight_lucas(k: int, r: int, j: int):
-    fk = _t("fibonacci", k)
-    lr, lkr = _t("lucas", r), _t("lucas", k - r)
+    fk = _memo(FIBONACCI, k)
+    lr, lkr = _memo(LUCAS, r), _memo(LUCAS, k - r)
     sign = (-1) ** ((r + 1) * j)
     x = QuadRat.of(0, fk, 5)  # sqrt(5) F(k)
     if (k - r) % 2 == 0:
@@ -103,12 +91,8 @@ def _weight_lucas(k: int, r: int, j: int):
         minus = _invpow(GaussQuad.of(x, QuadRat.of(-lr, 0, 5)), j)
         rot = GaussQuad.of(QuadRat.of(0, 0, 5), QuadRat.of(lkr, 0, 5)) ** j
         return rot * x * Fraction(sign, 2) * ((-1) ** j * plus + minus)
-    plus_base = x + lr
-    minus_base = x - lr
-    if minus_base.norm() == 0:
-        raise ValueError(f"vanishing conjugate denominator at k={k}, r={r}")
-    plus = _invpow(plus_base, j)
-    minus = _invpow(minus_base, j)
+    plus = _invpow(x + lr, j)
+    minus = _invpow(x - lr, j)
     return x * Fraction(sign * lkr ** j, 2) * ((-1) ** j * plus + minus)
 
 
@@ -139,12 +123,12 @@ def closed_form_raw(seq: Sequence, k: int, r: int, n: int):
     if seq.key not in _WEIGHTS:
         raise ValueError(f"no convolution closed form for {seq}")
     weight = _WEIGHTS[seq.key]
-    edge = (n + 1) * _t(seq.key, k * (n + 1) + r)
+    edge = (n + 1) * _memo(seq, k * (n + 1) + r)
     inner = sum(
-        weight(k, r, j) * ((n - j + 1) * _t(seq.key, k * (n - j + 1) + r))
+        weight(k, r, j) * ((n - j + 1) * _memo(seq, k * (n - j + 1) + r))
         for j in range(n + 1)
     )
-    outer = _t(seq.key, k - r)
+    outer = _memo(seq, k - r)
     if _subtract_form(seq.key, k, r):
         return outer * (edge - inner)
     return outer * (-edge + inner)
@@ -155,22 +139,6 @@ def conv_closed(seq: Sequence, k: int, r: int, n: int) -> int:
     return certified_int(closed_form_raw(seq, k, r, n))
 
 
-def conv_balancing_closed(k: int, r: int, n: int) -> int:
-    return conv_closed(BALANCING, k, r, n)
-
-
-def conv_lucas_balancing_closed(k: int, r: int, n: int) -> int:
-    return conv_closed(LUCAS_BALANCING, k, r, n)
-
-
-def conv_fibonacci_closed(k: int, r: int, n: int) -> int:
-    return conv_closed(FIBONACCI, k, r, n)
-
-
-def conv_lucas_closed(k: int, r: int, n: int) -> int:
-    return conv_closed(LUCAS, k, r, n)
-
-
 def conv_balancing_r0(k: int, n: int) -> int:
     """Simplified r = 0 balancing form:
     B(k) * sum over l = 1..floor((n+1)/2) of (n - 2l + 1) B(k(n - 2l + 1))."""
@@ -179,7 +147,7 @@ def conv_balancing_r0(k: int, n: int) -> int:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     total = sum(
-        (n - 2 * l + 1) * _t("balancing", k * (n - 2 * l + 1))
+        (n - 2 * l + 1) * _memo(BALANCING, k * (n - 2 * l + 1))
         for l in range(1, (n + 1) // 2 + 1)
     )
-    return _t("balancing", k) * total
+    return _memo(BALANCING, k) * total

@@ -8,10 +8,10 @@ Verdict carries the first counterexample as (label, params, lhs, rhs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from math import comb, gcd
 
-from .sequences import BALANCING, LUCAS_BALANCING, pair_mod, term
+from .sequences import BALANCING, LUCAS_BALANCING, _memo, pair_mod
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,9 @@ def _verdict(equalities) -> Verdict:
     return Verdict(True)
 
 
-@lru_cache(maxsize=None)
-def _B(n: int) -> int:
-    return term(BALANCING, n)
-
-
-@lru_cache(maxsize=None)
-def _C(n: int) -> int:
-    return term(LUCAS_BALANCING, n)
+# B(n) and C(n) of the docstrings, read through the shared term memo.
+B = partial(_memo, BALANCING)
+C = partial(_memo, LUCAS_BALANCING)
 
 
 def check_catalan(n: int, r: int) -> Verdict:
@@ -46,8 +41,8 @@ def check_catalan(n: int, r: int) -> Verdict:
     if not n >= r >= 0:
         raise ValueError(f"need n >= r >= 0, got n={n}, r={r}")
     return _verdict([
-        ("B", (n, r), _B(n - r) * _B(n + r), _B(n) ** 2 - _B(r) ** 2),
-        ("C", (n, r), _C(n - r) * _C(n + r), _C(n) ** 2 + _C(r) ** 2 - 1),
+        ("B", (n, r), B(n - r) * B(n + r), B(n) ** 2 - B(r) ** 2),
+        ("C", (n, r), C(n - r) * C(n + r), C(n) ** 2 + C(r) ** 2 - 1),
     ])
 
 
@@ -55,8 +50,8 @@ def check_odd_index_sum(n: int) -> Verdict:
     """B(1) + B(3) + ... + B(2n-1) = B(n)^2."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    total = sum(_B(2 * i - 1) for i in range(1, n + 1))
-    return _verdict([("sum", (n,), total, _B(n) ** 2)])
+    total = sum(B(2 * i - 1) for i in range(1, n + 1))
+    return _verdict([("sum", (n,), total, B(n) ** 2)])
 
 
 def check_shifted_product(a: int, b: int) -> Verdict:
@@ -64,7 +59,7 @@ def check_shifted_product(a: int, b: int) -> Verdict:
     if a < 0 or b < 0:
         raise ValueError(f"need a, b >= 0, got a={a}, b={b}")
     return _verdict([
-        ("B", (a, b), _B(a + b + 1), _B(a + 1) * _B(b + 1) - _B(a) * _B(b)),
+        ("B", (a, b), B(a + b + 1), B(a + 1) * B(b + 1) - B(a) * B(b)),
     ])
 
 
@@ -73,12 +68,12 @@ def check_addition(m: int, n: int) -> Verdict:
     B(n±m) = B(n)C(m) ± B(m)C(n), C(n±m) = C(n)C(m) ± 8 B(m)B(n)."""
     if not n >= m >= 0:
         raise ValueError(f"need n >= m >= 0, got m={m}, n={n}")
-    bm, bn, cm, cn = _B(m), _B(n), _C(m), _C(n)
+    bm, bn, cm, cn = B(m), B(n), C(m), C(n)
     return _verdict([
-        ("B+", (m, n), _B(n + m), bn * cm + bm * cn),
-        ("B-", (m, n), _B(n - m), bn * cm - bm * cn),
-        ("C+", (m, n), _C(n + m), cn * cm + 8 * bm * bn),
-        ("C-", (m, n), _C(n - m), cn * cm - 8 * bm * bn),
+        ("B+", (m, n), B(n + m), bn * cm + bm * cn),
+        ("B-", (m, n), B(n - m), bn * cm - bm * cn),
+        ("C+", (m, n), C(n + m), cn * cm + 8 * bm * bn),
+        ("C-", (m, n), C(n - m), cn * cm - 8 * bm * bn),
     ])
 
 
@@ -87,10 +82,10 @@ def check_combination(m: int, n: int) -> Verdict:
     n >= m and +B(m-n) otherwise; C(n+m) - 2 C(n)C(m) = -C(|n-m|)."""
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    b_rhs = -_B(n - m) if n >= m else _B(m - n)
+    b_rhs = -B(n - m) if n >= m else B(m - n)
     return _verdict([
-        ("B", (m, n), _B(n + m) - 2 * _B(n) * _C(m), b_rhs),
-        ("C", (m, n), _C(n + m) - 2 * _C(n) * _C(m), -_C(abs(n - m))),
+        ("B", (m, n), B(n + m) - 2 * B(n) * C(m), b_rhs),
+        ("C", (m, n), C(n + m) - 2 * C(n) * C(m), -C(abs(n - m))),
     ])
 
 
@@ -98,7 +93,7 @@ def check_gcd(m: int, n: int) -> Verdict:
     """gcd(B(m), B(n)) = B(gcd(m, n))."""
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    return _verdict([("gcd", (m, n), gcd(_B(m), _B(n)), _B(gcd(m, n)))])
+    return _verdict([("gcd", (m, n), gcd(B(m), B(n)), B(gcd(m, n)))])
 
 
 def is_prime(n: int) -> bool:
@@ -159,10 +154,10 @@ def check_mod_companion(m: int) -> Verdict:
     """B(2m) = 0 and B(2m-1) = 1 modulo the companion term C(m)."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    cm = _C(m)
+    cm = C(m)
     return _verdict([
-        ("B2m", (m,), _B(2 * m) % cm, 0),
-        ("B2m-1", (m,), _B(2 * m - 1) % cm, 1 % cm),
+        ("B2m", (m,), B(2 * m) % cm, 0),
+        ("B2m-1", (m,), B(2 * m - 1) % cm, 1 % cm),
     ])
 
 
@@ -172,14 +167,14 @@ def check_binomial_3pow(n: int) -> Verdict:
     (n odd); the C-weighted sum gives 2^(3n/2) C(n) or 2^(3(n+1)/2) B(n)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    sb = sum(comb(n, k) * (-1) ** (n - k) * 3 ** k * _B(k) for k in range(n + 1))
-    sc = sum(comb(n, k) * (-1) ** (n - k) * 3 ** k * _C(k) for k in range(n + 1))
+    sb = sum(comb(n, k) * (-1) ** (n - k) * 3 ** k * B(k) for k in range(n + 1))
+    sc = sum(comb(n, k) * (-1) ** (n - k) * 3 ** k * C(k) for k in range(n + 1))
     if n % 2 == 0:
-        rb = 2 ** (3 * n // 2) * _B(n)
-        rc = 2 ** (3 * n // 2) * _C(n)
+        rb = 2 ** (3 * n // 2) * B(n)
+        rc = 2 ** (3 * n // 2) * C(n)
     else:
-        rb = 2 ** (3 * (n - 1) // 2) * _C(n)
-        rc = 2 ** (3 * (n + 1) // 2) * _B(n)
+        rb = 2 ** (3 * (n - 1) // 2) * C(n)
+        rc = 2 ** (3 * (n + 1) // 2) * B(n)
     return _verdict([("B", (n,), sb, rb), ("C", (n,), sc, rc)])
 
 
@@ -189,7 +184,7 @@ def check_binomial_plain(n: int) -> Verdict:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     eqs = []
-    for label, f in (("B", _B), ("C", _C)):
+    for label, f in (("B", B), ("C", C)):
         plain = sum(comb(2 * n, k) * f(k) for k in range(2 * n + 1))
         alt = sum(comb(2 * n, k) * (-1) ** k * f(k) for k in range(2 * n + 1))
         eqs.append((label + "+", (n,), plain, 8 ** n * f(n)))
@@ -202,5 +197,5 @@ def check_second_order_product(n: int) -> Verdict:
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     return _verdict([
-        ("B", (n,), _B(n) * _B(n - 4) - _B(n - 1) * _B(n - 3), -35),
+        ("B", (n,), B(n) * B(n - 4) - B(n - 1) * B(n - 3), -35),
     ])

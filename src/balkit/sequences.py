@@ -1,10 +1,13 @@
 """Integer linear-recurrence kernels: balancing, Lucas-balancing, Fibonacci,
 Lucas, and generalized Fibonacci terms at arbitrary (including negative)
-indices, plus a logarithmic-time pair algorithm for the balancing couple."""
+indices.  All five are Lucas sequences, so one fast-doubling routine gives
+every term and the balancing pair, and one memo serves the modules that
+revisit indices; the linear stream stays as the independent route."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -18,7 +21,7 @@ class IndexedTerm(NamedTuple):
 class Sequence:
     """Two-term recurrence S(n) = mult*S(n-1) + add*S(n-2) with fixed seeds.
 
-    `key` selects the negative-index extension: balancing terms reflect as
+    Negative indices run the recurrence backwards: balancing terms reflect as
     -S(n), their companions as +S(n), Fibonacci as (-1)^(n+1) S(n), Lucas as
     (-1)^n S(n).  Generalized Fibonacci sequences reject negative indices.
     """
@@ -49,29 +52,49 @@ def gen_fibonacci(a: int) -> Sequence:
     return Sequence("gen-fibonacci", a, 1, 0, 1, param=a)
 
 
+def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, int]:
+    """(U(n), U(n+1)) of the Lucas sequence U(P, Q) at n >= 0 in O(log n)
+    multiplications, optionally reduced mod `modulus` after every step.
+
+    Division-free doubling: U(2k) = U(k) (2 U(k+1) - P U(k)) and
+    U(2k+1) = U(k+1)^2 - Q U(k)^2, which is one product when Q = 1; a set
+    bit then steps once with U(m+2) = P U(m+1) - Q U(m).
+    """
+    u, u1 = 0, 1
+    for bit in bin(n)[2:]:
+        odd = (u1 - u) * (u1 + u) if q == 1 else u1 * u1 - q * u * u
+        u, u1 = u * (2 * u1 - p * u), odd
+        if bit == "1":
+            u, u1 = u1, p * u1 - q * u
+        if modulus is not None:
+            u, u1 = u % modulus, u1 % modulus
+    return u, u1
+
+
 def term(seq: Sequence, n: int) -> int:
-    """Exact term of `seq` at index n, iterating the recurrence from the seeds."""
-    if n < 0:
-        return _reflect(seq, n)
-    prev, cur = seq.seed0, seq.seed1
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, seq.mult * cur + seq.add * prev
-    return cur
+    """Exact term of `seq` at index n.
+
+    Every family is S(n) = S(0) U(n+1) + (S(1) - mult S(0)) U(n) for the
+    Lucas sequence U = U(mult, -add), whose Q = -add is +-1, so negative
+    indices follow from U(-k) = -Q^k U(k).
+    """
+    if n < 0 and seq.key == "gen-fibonacci":
+        raise ValueError(f"negative index {n} not defined for {seq}")
+    p, q = seq.mult, -seq.add
+    if n >= 0:
+        u, u1 = _lucas_u(p, q, n)
+    else:
+        u_prev, u_k = _lucas_u(p, q, -n - 1)  # U(k-1), U(k) for k = -n
+        s = q if n % 2 else 1  # Q^k
+        u, u1 = -s * u_k, -s * q * u_prev
+    return seq.seed0 * u1 + (seq.seed1 - p * seq.seed0) * u
 
 
-def _reflect(seq: Sequence, n: int) -> int:
-    v = term(seq, -n)
-    if seq.key == "balancing":
-        return -v
-    if seq.key == "lucas-balancing":
-        return v
-    if seq.key == "fibonacci":
-        return v if n % 2 else -v
-    if seq.key == "lucas":
-        return -v if n % 2 else v
-    raise ValueError(f"negative index {n} not defined for {seq}")
+@lru_cache(maxsize=None)
+def _memo(seq: Sequence, n: int) -> int:
+    """term(seq, n) for callers that revisit indices (convolution weights,
+    identity grids, tail summands).  It keeps only the indices asked for."""
+    return term(seq, n)
 
 
 def stream(seq: Sequence, start: int, stop: int) -> list[IndexedTerm]:
@@ -92,23 +115,12 @@ def values(seq: Sequence, start: int, stop: int) -> list[int]:
 
 
 def pair_fast(n: int) -> tuple[int, int]:
-    """(balancing, Lucas-balancing) pair at index n >= 0 in O(log n) multiplications.
-
-    Doubling laws: B(2m) = 2 B(m) C(m), C(2m) = 2 C(m)^2 - 1, and for odd
-    targets B(2m+1) = B(m) C(m+1) + B(m+1) C(m), C(2m+1) = C(m) C(m+1)
-    + 8 B(m) B(m+1), with the neighbor pair B(m+1) = 3 B(m) + C(m),
-    C(m+1) = 8 B(m) + 3 C(m).
-    """
+    """(balancing, Lucas-balancing) pair at index n >= 0 in O(log n)
+    multiplications: B(n) = U(n) and C(n) = U(n+1) - 3 U(n) for U = U(6, 1)."""
     if n < 0:
         raise ValueError(f"pair_fast requires n >= 0, got {n}")
-    b, c = 0, 1
-    for bit in bin(n)[2:]:
-        if bit == "1":
-            b1, c1 = 3 * b + c, 8 * b + 3 * c
-            b, c = b * c1 + b1 * c, c * c1 + 8 * b * b1
-        else:
-            b, c = 2 * b * c, 2 * c * c - 1
-    return b, c
+    u, u1 = _lucas_u(6, 1, n)
+    return u, u1 - 3 * u
 
 
 def pair_mod(n: int, modulus: int) -> tuple[int, int]:
@@ -117,14 +129,8 @@ def pair_mod(n: int, modulus: int) -> tuple[int, int]:
         raise ValueError(f"pair_mod requires n >= 0, got {n}")
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    b, c = 0, 1 % modulus
-    for bit in bin(n)[2:]:
-        if bit == "1":
-            b1, c1 = (3 * b + c) % modulus, (8 * b + 3 * c) % modulus
-            b, c = (b * c1 + b1 * c) % modulus, (c * c1 + 8 * b * b1) % modulus
-        else:
-            b, c = (2 * b * c) % modulus, (2 * c * c - 1) % modulus
-    return b, c
+    u, u1 = _lucas_u(6, 1, n, modulus)
+    return u, (u1 - 3 * u) % modulus
 
 
 def is_balancing(x: int) -> bool:

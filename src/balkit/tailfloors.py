@@ -26,16 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from typing import Callable, NamedTuple
 
-from .sequences import (
-    BALANCING,
-    LUCAS_BALANCING,
-    Sequence,
-    gen_fibonacci,
-    values,
-)
+from .sequences import BALANCING, LUCAS_BALANCING, Sequence, _memo, gen_fibonacci
 
 
 class Interval(NamedTuple):
@@ -127,23 +121,23 @@ def _require_valid_n(spec: TailSpec, n: int) -> None:
 def _closed_B(shape: str, S, n: int, l: int) -> int:
     even = n % 2 == 0
     if shape == "plain":
-        return S[l * n] - S[l * (n - 1)] - 1
+        return S(l * n) - S(l * (n - 1)) - 1
     X = {
-        "alt": lambda: S[n] + S[n - 1],
-        "alt_sq": lambda: S[n] ** 2 + S[n - 1] ** 2,
-        "alt_even_idx": lambda: S[2 * n] + S[2 * n - 2],
-        "alt_odd_idx": lambda: S[2 * n + 1] + S[2 * n - 1],
-        "alt_consec_prod": lambda: S[n] * S[n + 1] + S[n - 1] * S[n],
-        "alt_even_sq": lambda: S[2 * n] ** 2 + S[2 * n - 2] ** 2,
-        "alt_odd_sq": lambda: S[2 * n - 1] ** 2 + S[2 * n - 3] ** 2,
+        "alt": lambda: S(n) + S(n - 1),
+        "alt_sq": lambda: S(n) ** 2 + S(n - 1) ** 2,
+        "alt_even_idx": lambda: S(2 * n) + S(2 * n - 2),
+        "alt_odd_idx": lambda: S(2 * n + 1) + S(2 * n - 1),
+        "alt_consec_prod": lambda: S(n) * S(n + 1) + S(n - 1) * S(n),
+        "alt_even_sq": lambda: S(2 * n) ** 2 + S(2 * n - 2) ** 2,
+        "alt_odd_sq": lambda: S(2 * n - 1) ** 2 + S(2 * n - 3) ** 2,
     }.get(shape)
     if X is not None:
         x = X()
         return x if even else -(x + 1)
     if shape == "alt_oddprod":
-        x = S[2 * n] ** 2 + S[2 * n - 2] ** 2
+        x = S(2 * n) ** 2 + S(2 * n - 2) ** 2
     elif shape == "alt_evenprod":
-        x = S[2 * n + 1] ** 2 + S[2 * n - 1] ** 2
+        x = S(2 * n + 1) ** 2 + S(2 * n - 1) ** 2
     else:
         raise ValueError(shape)
     return x - 1 if even else -x
@@ -152,25 +146,25 @@ def _closed_B(shape: str, S, n: int, l: int) -> int:
 def _closed_C(shape: str, S, n: int, l: int) -> int:
     even = n % 2 == 0
     if shape == "plain":
-        return S[l * n] - S[l * (n - 1)]
+        return S(l * n) - S(l * (n - 1))
     X = {
-        "alt": lambda: S[n] + S[n - 1],
-        "alt_sq": lambda: S[n] ** 2 + S[n - 1] ** 2,
-        "alt_even_idx": lambda: S[2 * n] + S[2 * n - 2],
-        "alt_odd_idx": lambda: S[2 * n + 1] + S[2 * n - 1],
-        "alt_even_sq": lambda: S[2 * n] ** 2 + S[2 * n - 2] ** 2,
-        "alt_odd_sq": lambda: S[2 * n - 1] ** 2 + S[2 * n - 3] ** 2,
+        "alt": lambda: S(n) + S(n - 1),
+        "alt_sq": lambda: S(n) ** 2 + S(n - 1) ** 2,
+        "alt_even_idx": lambda: S(2 * n) + S(2 * n - 2),
+        "alt_odd_idx": lambda: S(2 * n + 1) + S(2 * n - 1),
+        "alt_even_sq": lambda: S(2 * n) ** 2 + S(2 * n - 2) ** 2,
+        "alt_odd_sq": lambda: S(2 * n - 1) ** 2 + S(2 * n - 3) ** 2,
     }.get(shape)
     if X is not None:
         x = X()
         return x - 1 if even else -x
     if shape == "alt_consec_prod":
-        x = S[n] * S[n + 1] + S[n - 1] * S[n]
+        x = S(n) * S(n + 1) + S(n - 1) * S(n)
         return x - 2 if even else -(x - 1)
     if shape == "alt_oddprod":
-        x = S[2 * n] ** 2 + S[2 * n - 2] ** 2
+        x = S(2 * n) ** 2 + S(2 * n - 2) ** 2
     elif shape == "alt_evenprod":
-        x = S[2 * n + 1] ** 2 + S[2 * n - 1] ** 2
+        x = S(2 * n + 1) ** 2 + S(2 * n - 1) ** 2
     else:
         raise ValueError(shape)
     return x + 7 if even else -(x + 8)
@@ -179,32 +173,20 @@ def _closed_C(shape: str, S, n: int, l: int) -> int:
 def _closed_G(shape: str, S, n: int, a: int) -> int:
     even = n % 2 == 0
     if shape == "gf_plain":
-        return S[n] - S[n - 1] - (0 if even else 1)
+        return S(n) - S(n - 1) - (0 if even else 1)
     if shape == "gf_sq":
-        return a * S[n - 1] * S[n] - (1 if even else 0)
+        return a * S(n - 1) * S(n) - (1 if even else 0)
     if shape == "gf_even_idx":
-        return S[2 * n] - S[2 * n - 2] - 1
+        return S(2 * n) - S(2 * n - 2) - 1
     if shape == "gf_odd_idx":
-        return S[2 * n - 1] - S[2 * n - 3]
+        return S(2 * n - 1) - S(2 * n - 3)
     raise ValueError(shape)
-
-
-@lru_cache(maxsize=None)
-def _prefix(seq: Sequence, upto: int) -> tuple[int, ...]:
-    return tuple(values(seq, 0, upto))
-
-
-def _terms_upto(spec: TailSpec, n: int, count: int) -> int:
-    """Largest sequence index the first `count` summands (plus one) touch."""
-    idx = SHAPES[spec.shape].indices
-    return max(idx(n + count, spec.l))
 
 
 def closed_floor(spec: TailSpec, n: int) -> int:
     """Closed-form value of floor(1 / tail(spec, n)); floor is toward -infinity."""
     _require_valid_n(spec, n)
-    need = _terms_upto(spec, n, 1) + 2
-    S = _prefix(spec.sequence(), need)
+    S = partial(_memo, spec.sequence())
     if spec.family == "B":
         return _closed_B(spec.shape, S, n, spec.l)
     if spec.family == "C":
@@ -214,16 +196,16 @@ def closed_floor(spec: TailSpec, n: int) -> int:
 
 # -- summand evaluation --------------------------------------------------------
 
-def _summands(spec: TailSpec, n: int, count: int) -> tuple[list[Fraction], tuple[int, ...]]:
-    """First `count` signed summands starting at k = n, plus the sequence prefix."""
-    S = _prefix(spec.sequence(), _terms_upto(spec, n, count) + 2)
+def _summands(spec: TailSpec, n: int, count: int) -> tuple[list[Fraction], Callable[[int], int]]:
+    """First `count` signed summands starting at k = n, plus the term lookup."""
+    S = partial(_memo, spec.sequence())
     idx = SHAPES[spec.shape].indices
     alt = SHAPES[spec.shape].alternating
     out = []
     for k in range(n, n + count):
         den = 1
         for i in idx(k, spec.l):
-            den *= S[i]
+            den *= S(i)
         t = Fraction(1, den)
         out.append(-t if alt and k % 2 else t)
     return out, S
@@ -286,8 +268,8 @@ def _ratio_interval(spec: TailSpec, S, M: int) -> tuple[Fraction, Fraction]:
     else:
         rho = Fraction(spec.a * spec.a + spec.a + 1, spec.a + 1)
         g = 1 / (rho * rho)
-    drift = Fraction(_CROSS_CONSTANT[spec.family], S[M] * S[M + 1]) / (1 - g)
-    r = Fraction(S[M + 1], S[M])
+    drift = Fraction(_CROSS_CONSTANT[spec.family], S(M) * S(M + 1)) / (1 - g)
+    r = Fraction(S(M + 1), S(M))
     return r - drift, r + drift
 
 

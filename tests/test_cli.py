@@ -183,3 +183,38 @@ def test_jobs_resolution(monkeypatch):
     assert _jobs(SimpleNamespace(jobs=2)) == 2
     monkeypatch.delenv("BALKIT_JOBS")
     assert _jobs(SimpleNamespace(jobs=None)) >= 1
+
+
+def test_cancellation_failure_exit_1(capsys, monkeypatch):
+    from balkit import convolutions
+    from balkit.quadfield import QuadRat
+
+    monkeypatch.setattr(convolutions, "closed_form_raw", lambda *a: QuadRat.of(1, 1, 2))
+    code, out, err = run(capsys, "conv", "B", "--k", "2", "--r", "1", "--n", "3")
+    assert code == 1
+    assert err.startswith("error: ") and "residue" in err
+
+
+def test_expand_arithmetic_failure_exit_1(capsys, monkeypatch):
+    from balkit import genfunc
+
+    def broken(g, count):
+        raise ArithmeticError("non-integer series coefficient at t^0: 1/2")
+
+    monkeypatch.setattr(genfunc, "expand", broken)
+    code, out, err = run(capsys, "gf", "B", "--k", "1", "--r", "0", "--terms", "5")
+    assert code == 1
+    assert err == "error: non-integer series coefficient at t^0: 1/2\n"
+
+
+def test_json_report_rendered_once(tmp_path, capsys, monkeypatch):
+    from balkit import cli
+
+    calls = []
+    real = cli.render_json
+    monkeypatch.setattr(cli, "render_json", lambda report: calls.append(1) or real(report))
+    code, out, _ = run(capsys, "seq", "B", "--from", "0", "--to", "3", "--format", "json",
+                       "--output", str(tmp_path / "report.json"))
+    assert code == 0
+    assert len(calls) == 1
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == out

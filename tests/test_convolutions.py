@@ -16,12 +16,8 @@ from balkit import (
     QuadRat,
     brute_conv,
     closed_form_raw,
-    conv_balancing_closed,
     conv_balancing_r0,
     conv_closed,
-    conv_fibonacci_closed,
-    conv_lucas_balancing_closed,
-    conv_lucas_closed,
 )
 
 FAMILIES = (BALANCING, LUCAS_BALANCING, FIBONACCI, LUCAS)
@@ -52,26 +48,26 @@ def test_brute_matches_oracle():
 
 
 def test_closed_balancing_examples():
-    assert conv_balancing_closed(2, 1, 1) == 70
-    assert conv_balancing_closed(1, 0, 3) == 12
-    assert conv_balancing_closed(3, 0, 0) == 0
+    assert conv_closed(BALANCING, 2, 1, 1) == 70
+    assert conv_closed(BALANCING, 1, 0, 3) == 12
+    assert conv_closed(BALANCING, 3, 0, 0) == 0
 
 
 def test_closed_lucas_balancing_examples():
-    assert conv_lucas_balancing_closed(1, 0, 0) == 1
-    assert conv_lucas_balancing_closed(1, 0, 1) == 6
+    assert conv_closed(LUCAS_BALANCING, 1, 0, 0) == 1
+    assert conv_closed(LUCAS_BALANCING, 1, 0, 1) == 6
 
 
 def test_closed_fibonacci_examples():
-    assert conv_fibonacci_closed(2, 0, 1) == 0
-    assert conv_fibonacci_closed(2, 1, 1) == 4
-    assert conv_fibonacci_closed(1, 0, 0) == 0
+    assert conv_closed(FIBONACCI, 2, 0, 1) == 0
+    assert conv_closed(FIBONACCI, 2, 1, 1) == 4
+    assert conv_closed(FIBONACCI, 1, 0, 0) == 0
 
 
 def test_closed_lucas_examples():
-    assert conv_lucas_closed(1, 0, 1) == 4
-    assert conv_lucas_closed(2, 0, 0) == 4
-    assert conv_lucas_closed(3, 1, 2) == 107
+    assert conv_closed(LUCAS, 1, 0, 1) == 4
+    assert conv_closed(LUCAS, 2, 0, 0) == 4
+    assert conv_closed(LUCAS, 3, 1, 2) == 107
 
 
 def test_closed_matches_brute_smoke_grid():
@@ -92,7 +88,7 @@ def test_balancing_r0_examples():
 def test_balancing_r0_matches_closed_form():
     for k in range(1, 6):
         for n in range(0, 41):
-            assert conv_balancing_r0(k, n) == conv_balancing_closed(k, 0, n)
+            assert conv_balancing_r0(k, n) == conv_closed(BALANCING, k, 0, n)
 
 
 def test_raw_totals_have_zero_residue():

@@ -6,6 +6,8 @@ import random
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balkit import (
     BALANCING,
@@ -13,6 +15,9 @@ from balkit import (
     LUCAS,
     LUCAS_BALANCING,
     IndexedTerm,
+    TailSpec,
+    binet_pair,
+    certify_floor,
     gen_fibonacci,
     is_balancing,
     pair_fast,
@@ -189,3 +194,78 @@ def test_product_of_balancing_numbers_not_balancing():
     for m in range(2, 13):
         for n in range(2, 13):
             assert not is_balancing(bs[m] * bs[n])
+
+
+# -- property tests of the doubling kernel against independent routes --------
+
+
+def mat_pow(m, n):
+    """Integer 2x2 matrix power by repeated squaring, n >= 0."""
+    result = ((1, 0), (0, 1))
+    while n:
+        if n & 1:
+            result = mat_mul(result, m)
+        m = mat_mul(m, m)
+        n >>= 1
+    return result
+
+
+def mat_mul(x, y):
+    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+def fib_like(a, n):
+    """(G(n-1), G(n), G(n+1)) of G(n) = a G(n-1) + G(n-2), G(0) = 0, G(1) = 1,
+    from [[a, 1], [1, 0]]^n = [[G(n+1), G(n)], [G(n), G(n-1)]]; negative n
+    powers the integer inverse [[0, 1], [1, -a]]."""
+    m = ((a, 1), (1, 0)) if n >= 0 else ((0, 1), (1, -a))
+    p = mat_pow(m, abs(n))
+    return p[1][1], p[0][1], p[0][0]
+
+
+INDICES = st.integers(min_value=-10 ** 4, max_value=10 ** 4)
+
+
+@settings(deadline=None, max_examples=60)
+@given(INDICES)
+def test_term_balancing_families_match_binet(n):
+    assert (term(BALANCING, n), term(LUCAS_BALANCING, n)) == binet_pair(n)
+
+
+@settings(deadline=None)
+@given(INDICES)
+def test_term_fibonacci_lucas_match_matrix_power(n):
+    prev, cur, nxt = fib_like(1, n)
+    assert term(FIBONACCI, n) == cur
+    assert term(LUCAS, n) == prev + nxt
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10 ** 4))
+def test_term_gen_fibonacci_matches_matrix_power(a, n):
+    assert term(gen_fibonacci(a), n) == fib_like(a, n)[1]
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=-10 ** 4, max_value=-1))
+def test_term_gen_fibonacci_rejects_negative_indices(a, n):
+    with pytest.raises(ValueError):
+        term(gen_fibonacci(a), n)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=5000),
+       st.one_of(st.integers(min_value=1, max_value=64),
+                 st.integers(min_value=1, max_value=10 ** 6).map(lambda x: 2 * x),
+                 st.integers(min_value=1, max_value=10 ** 30)))
+def test_pair_mod_matches_reduced_pair_fast(n, m):
+    b, c = pair_fast(n)
+    assert pair_mod(n, m) == (b % m, c % m)
+
+
+def test_term_memo_holds_only_requested_indices():
+    from balkit.sequences import _memo
+
+    _memo.cache_clear()
+    certify_floor(TailSpec("B", "alt_even_sq"), 1000)
+    assert _memo.cache_info().currsize <= 36
