@@ -38,20 +38,26 @@ def brute_conv(seq: Sequence, k: int, r: int, n: int) -> int:
 # are built incrementally and shared across every n of a sweep.
 
 
+def _pow(base, j: int):
+    """base**j for any integer j, one cached step from base**(j -+ 1).  Equal
+    values from different fields hash alike (Fraction(1) == GaussQuad.of(1, 0, 5)),
+    so the key holds the type and radicand too, or call order picks the field."""
+    return _field_pow(type(base), getattr(base, "d", None), base, j)
+
+
 @lru_cache(maxsize=None)
-def _invpow(base, j: int):
-    """(1/base)^(j+1), built incrementally; base is a Fraction, QuadRat, or
-    GaussQuad (all hashable)."""
-    if j == 0:
-        return base.inverse() if isinstance(base, (QuadRat, GaussQuad)) else 1 / base
-    return _invpow(base, j - 1) * _invpow(base, 0)
+def _field_pow(kind: type, d: int | None, base, j: int):
+    if -1 <= j <= 1:
+        return base ** j
+    step = 1 if j > 0 else -1
+    return _field_pow(kind, d, base, j - step) * _field_pow(kind, d, base, step)
 
 
 @lru_cache(maxsize=None)
 def _weight_balancing(k: int, r: int, j: int) -> Fraction:
     bk, br, bkr = _memo(BALANCING, k), _memo(BALANCING, r), _memo(BALANCING, k - r)
-    plus = _invpow(Fraction(bk + br), j)
-    minus = _invpow(Fraction(bk - br), j)
+    plus = _pow(Fraction(bk + br), -j - 1)
+    minus = _pow(Fraction(bk - br), -j - 1)
     return Fraction(bk * bkr ** j, 2) * ((-1) ** j * plus + minus)
 
 
@@ -60,9 +66,9 @@ def _weight_lucas_balancing(k: int, r: int, j: int) -> GaussQuad:
     bk = _memo(BALANCING, k)
     cr, ckr = _memo(LUCAS_BALANCING, r), _memo(LUCAS_BALANCING, k - r)
     x = QuadRat.of(0, 2 * bk, 2)  # 2 sqrt(2) B(k)
-    plus = _invpow(GaussQuad.of(x, QuadRat.of(cr, 0, 2)), j)
-    minus = _invpow(GaussQuad.of(x, QuadRat.of(-cr, 0, 2)), j)
-    rot = GaussQuad.of(QuadRat.of(0, 0, 2), QuadRat.of(ckr, 0, 2)) ** j  # (C(k-r) i)^j
+    plus = _pow(GaussQuad.of(x, cr), -j - 1)
+    minus = _pow(GaussQuad.of(x, -cr), -j - 1)
+    rot = _pow(GaussQuad.of(0, ckr, 2), j)  # (C(k-r) i)^j
     return rot * x * Fraction(1, 2) * (plus + (-1) ** j * minus)
 
 
@@ -71,12 +77,12 @@ def _weight_fibonacci(k: int, r: int, j: int):
     fk, fr, fkr = _memo(FIBONACCI, k), _memo(FIBONACCI, r), _memo(FIBONACCI, k - r)
     sign = (-1) ** (k * j)
     if (k - r) % 2 == 0:
-        plus = _invpow(Fraction(fk + fr), j)
-        minus = _invpow(Fraction(fk - fr), j)
+        plus = _pow(Fraction(fk + fr), -j - 1)
+        minus = _pow(Fraction(fk - fr), -j - 1)
         return sign * Fraction(fk * fkr ** j, 2) * ((-1) ** j * plus + minus)
-    plus = _invpow(GaussQuad.of(Fraction(fk), Fraction(fr), 5), j)
-    minus = _invpow(GaussQuad.of(Fraction(fk), Fraction(-fr), 5), j)
-    rot = GaussQuad.of(Fraction(0), Fraction(fkr), 5) ** j  # (F(k-r) i)^j
+    plus = _pow(GaussQuad.of(fk, fr, 5), -j - 1)
+    minus = _pow(GaussQuad.of(fk, -fr, 5), -j - 1)
+    rot = _pow(GaussQuad.of(0, fkr, 5), j)  # (F(k-r) i)^j
     return rot * Fraction(sign * fk, 2) * (plus + (-1) ** j * minus)
 
 
@@ -87,12 +93,12 @@ def _weight_lucas(k: int, r: int, j: int):
     sign = (-1) ** ((r + 1) * j)
     x = QuadRat.of(0, fk, 5)  # sqrt(5) F(k)
     if (k - r) % 2 == 0:
-        plus = _invpow(GaussQuad.of(x, QuadRat.of(lr, 0, 5)), j)
-        minus = _invpow(GaussQuad.of(x, QuadRat.of(-lr, 0, 5)), j)
-        rot = GaussQuad.of(QuadRat.of(0, 0, 5), QuadRat.of(lkr, 0, 5)) ** j
+        plus = _pow(GaussQuad.of(x, lr), -j - 1)
+        minus = _pow(GaussQuad.of(x, -lr), -j - 1)
+        rot = _pow(GaussQuad.of(0, lkr, 5), j)  # (L(k-r) i)^j
         return rot * x * Fraction(sign, 2) * ((-1) ** j * plus + minus)
-    plus = _invpow(x + lr, j)
-    minus = _invpow(x - lr, j)
+    plus = _pow(x + lr, -j - 1)
+    minus = _pow(x - lr, -j - 1)
     return x * Fraction(sign * lkr ** j, 2) * ((-1) ** j * plus + minus)
 
 

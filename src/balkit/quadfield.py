@@ -1,18 +1,20 @@
-"""Exact arithmetic in Q(sqrt(d)) and its Gaussian extension Q(sqrt(d))(i).
+"""Exact arithmetic in the tower Q < Q(sqrt(d)) < Q(sqrt(d))(i).
 
-Elements are immutable; all coordinates are `fractions.Fraction`, so every
-operation is exact.  Only the two-step tower rationals < quadratic < Gaussian
-quadratic is supported, which is all the closed forms downstream need.
+Both floors are quadratic extensions of the floor below them, so one class
+body, `_Extension`, holds all the arithmetic: an element is x + y*w with x, y
+in the floor below and w*w a fixed element of it.  `QuadRat` is a + b*sqrt(d)
+with rational a, b (w*w = d); `GaussQuad` is re + im*i with re, im in one
+Q(sqrt(d)) (w*w = -1).  An operand from a lower floor (an int, a Fraction, or
+a QuadRat beside a GaussQuad) acts on the coordinates directly and is never
+lifted into a full element.  Elements are immutable and every operation is
+exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt
-from typing import Union
-
-Scalar = Union[int, Fraction]
 
 
 class CancellationError(ArithmeticError):
@@ -20,126 +22,159 @@ class CancellationError(ArithmeticError):
     irrational or imaginary residue (or a fractional part)."""
 
 
-def _is_squarefree(d: int) -> bool:
-    if d < 1:
-        return False
-    p = 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
-        p += 1
-    return True
+@cache
+def _check_radicand(d: int) -> None:
+    if d < 2 or any(d % (p * p) == 0 for p in range(2, isqrt(d) + 1)):
+        raise ValueError(f"d must be squarefree and >= 2, got {d}")
 
 
-@dataclass(frozen=True)
-class QuadRat:
-    """a + b*sqrt(d) with rational a, b and squarefree d >= 2."""
+def _frozen(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
-    a: Fraction
-    b: Fraction
-    d: int
 
-    def __post_init__(self) -> None:
-        if not _is_squarefree(self.d) or self.d < 2:
-            raise ValueError(f"d must be squarefree and >= 2, got {self.d}")
+class _Extension:
+    """x + y*w over the floor below, where w*w is `_w2`.
 
-    @classmethod
-    def of(cls, a: Scalar, b: Scalar, d: int) -> QuadRat:
-        return cls(Fraction(a), Fraction(b), d)
+    A subclass sets `_scalars`, the types of the floors below, and `_w2`.
+    It also binds `__mul__`, `__rmul__`, `__pow__` and `inverse` in its own
+    body, because perfbench/tracer.py wraps them from each class's dict.
+    """
 
-    def _coerce(self, other) -> QuadRat:
-        if isinstance(other, QuadRat):
+    __slots__ = ("_x", "_y", "d")
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return _make, (type(self), self._x, self._y, self.d)
+
+    def _same(self, other) -> bool | None:
+        """True for an element of this floor and field, False for a scalar
+        from a floor below, None for anything else."""
+        if type(other) is type(self):
             if other.d != self.d:
                 raise ValueError(f"mixed radicands: sqrt({self.d}) vs sqrt({other.d})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadRat(Fraction(other), Fraction(0), self.d)
-        return NotImplemented
+            return True
+        return False if isinstance(other, self._scalars) else None
 
-    def __add__(self, other) -> QuadRat:
-        o = self._coerce(other)
-        if o is NotImplemented:
+    def __add__(self, other):
+        same = self._same(other)
+        if same is None:
             return NotImplemented
-        return QuadRat(self.a + o.a, self.b + o.b, self.d)
+        if same:
+            return _make(type(self), self._x + other._x, self._y + other._y, self.d)
+        return _make(type(self), self._x + other, self._y, self.d)
 
     __radd__ = __add__
 
-    def __neg__(self) -> QuadRat:
-        return QuadRat(-self.a, -self.b, self.d)
+    def __neg__(self):
+        return _make(type(self), -self._x, -self._y, self.d)
 
-    def __sub__(self, other) -> QuadRat:
-        o = self._coerce(other)
-        if o is NotImplemented:
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        same = self._same(other)
+        if same is None:
             return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> QuadRat:
-        return (-self) + other
-
-    def __mul__(self, other) -> QuadRat:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadRat(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        x, y = self._x, self._y
+        if same:
+            u, v = other._x, other._y
+            return _make(type(self), x * u + self._w2 * (y * v), x * v + y * u, self.d)
+        return _make(type(self), x * other, y * other, self.d)
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> QuadRat:
-        return QuadRat(self.a, -self.b, self.d)
+    def conjugate(self):
+        return _make(type(self), self._x, -self._y, self.d)
 
-    def norm(self) -> Fraction:
-        """a^2 - d b^2, the product with the sqrt(d)-conjugate."""
-        return self.a * self.a - self.d * self.b * self.b
+    def norm(self):
+        """x^2 - w^2 y^2, the product with the conjugate: an element of the
+        floor below."""
+        return self._x * self._x - self._w2 * (self._y * self._y)
 
-    def inverse(self) -> QuadRat:
-        # 1/(a + b sqrt d) = (a - b sqrt d)/(a^2 - d b^2); the norm vanishes
-        # only at zero because sqrt(d) is irrational for squarefree d >= 2.
+    def inverse(self):
+        # The norm vanishes only at zero: sqrt(d) is irrational for squarefree
+        # d >= 2, and re^2 + im^2 > 0 in the real field Q(sqrt(d)).
         nrm = self.norm()
         if nrm == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt(d))")
-        return QuadRat(self.a / nrm, -self.b / nrm, self.d)
+            raise ZeroDivisionError(f"inverse of zero in {type(self).__name__}")
+        inv = 1 / nrm
+        return _make(type(self), self._x * inv, -self._y * inv, self.d)
 
-    def __truediv__(self, other) -> QuadRat:
-        o = self._coerce(other)
-        if o is NotImplemented:
+    def __truediv__(self, other):
+        same = self._same(other)
+        if same is None:
             return NotImplemented
-        return self * o.inverse()
+        if same:
+            return self * other.inverse()
+        return _make(type(self), self._x / other, self._y / other, self.d)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def __pow__(self, exponent: int) -> QuadRat:
+    def __pow__(self, exponent: int):
         if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = QuadRat(Fraction(1), Fraction(0), self.d)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
+            return self.inverse() ** -exponent
+        if exponent == 0:
+            return _make(type(self), self._x ** 0, self._y * 0, self.d)
+        result, base = None, self
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return result
             base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QuadRat):
-            if other.d != self.d:
-                return self.b == 0 == other.b and self.a == other.a
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+        # Equal coordinates are equal values unless w differs, which only
+        # sqrt(d) does across fields.
+        if type(other) is type(self):
+            return (self._x == other._x and self._y == other._y
+                    and (self._y == 0 or self._w2 == other._w2))
+        if isinstance(other, self._scalars):
+            return self._y == 0 and self._x == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b)) if self.b else hash(self.a)
+        # Values from a lower floor hash like that floor, matching __eq__.
+        return hash(self._x) if self._y == 0 else hash((self._x, self._y))
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
+
+_set_x, _set_y, _set_d = (vars(_Extension)[s].__set__ for s in _Extension.__slots__)
+
+
+def _make(cls, x, y, d):
+    """An element of `cls` without the public constructor's checks."""
+    new = object.__new__(cls)
+    _set_x(new, x)
+    _set_y(new, y)
+    _set_d(new, d)
+    return new
+
+
+class QuadRat(_Extension):
+    """a + b*sqrt(d) with rational a, b and squarefree d >= 2."""
+
+    __slots__ = ()
+    _scalars = (int, Fraction)
+    _w2 = _Extension.d  # w = sqrt(d), so w*w is the radicand
+    a, b = _Extension._x, _Extension._y
+    __mul__ = __rmul__ = _Extension.__mul__
+    __pow__ = _Extension.__pow__
+    inverse = _Extension.inverse
+
+    def __init__(self, a, b, d: int) -> None:
+        _check_radicand(d)
+        _set_x(self, a)
+        _set_y(self, b)
+        _set_d(self, d)
+
+    @classmethod
+    def of(cls, a: int | Fraction, b: int | Fraction, d: int) -> QuadRat:
+        return cls(Fraction(a), Fraction(b), d)
 
     def __repr__(self) -> str:
         return f"QuadRat({self.a}, {self.b}, d={self.d})"
@@ -153,16 +188,23 @@ def sqrt_of(d: int) -> QuadRat:
     return QuadRat.of(0, 1, d)
 
 
-@dataclass(frozen=True)
-class GaussQuad:
+class GaussQuad(_Extension):
     """re + im*i with re, im in the same Q(sqrt(d))."""
 
-    re: QuadRat
-    im: QuadRat
+    __slots__ = ()
+    _scalars = (int, Fraction, QuadRat)
+    _w2 = -1
+    re, im = _Extension._x, _Extension._y
+    __mul__ = __rmul__ = _Extension.__mul__
+    __pow__ = _Extension.__pow__
+    inverse = _Extension.inverse
 
-    def __post_init__(self) -> None:
-        if self.re.d != self.im.d:
+    def __init__(self, re: QuadRat, im: QuadRat) -> None:
+        if re.d != im.d:
             raise ValueError("re and im must share the radicand")
+        _set_x(self, re)
+        _set_y(self, im)
+        _set_d(self, re.d)
 
     @classmethod
     def of(cls, re, im, d: int | None = None) -> GaussQuad:
@@ -171,103 +213,6 @@ class GaussQuad:
         if not isinstance(im, QuadRat):
             im = QuadRat.of(im, 0, re.d)
         return cls(re, im)
-
-    @property
-    def d(self) -> int:
-        return self.re.d
-
-    def _coerce(self, other) -> GaussQuad:
-        if isinstance(other, GaussQuad):
-            if other.d != self.d:
-                raise ValueError(f"mixed radicands: sqrt({self.d}) vs sqrt({other.d})")
-            return other
-        if isinstance(other, QuadRat):
-            return GaussQuad(self.re._coerce(other), QuadRat.of(0, 0, self.d))
-        if isinstance(other, (int, Fraction)):
-            return GaussQuad(QuadRat.of(other, 0, self.d), QuadRat.of(0, 0, self.d))
-        return NotImplemented
-
-    def __add__(self, other) -> GaussQuad:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GaussQuad(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> GaussQuad:
-        return GaussQuad(-self.re, -self.im)
-
-    def __sub__(self, other) -> GaussQuad:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> GaussQuad:
-        return (-self) + other
-
-    def __mul__(self, other) -> GaussQuad:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GaussQuad(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> GaussQuad:
-        return GaussQuad(self.re, -self.im)
-
-    def norm(self) -> QuadRat:
-        """re^2 + im^2, the product with the complex conjugate (a QuadRat)."""
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> GaussQuad:
-        nrm = self.norm()
-        if nrm == QuadRat.of(0, 0, self.d):
-            raise ZeroDivisionError("inverse of zero in Q(sqrt(d))(i)")
-        inv = nrm.inverse()
-        return GaussQuad(self.re * inv, -self.im * inv)
-
-    def __truediv__(self, other) -> GaussQuad:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, exponent: int) -> GaussQuad:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = GaussQuad.of(1, 0, self.d)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, GaussQuad):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (QuadRat, int, Fraction)):
-            zero = QuadRat.of(0, 0, self.d)
-            return self.im == zero and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        # Purely real values hash like their QuadRat (and, transitively,
-        # rational) counterparts, matching the equality relation.
-        if self.im.a == 0 and self.im.b == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
 
     def __repr__(self) -> str:
         return f"GaussQuad({self.re!r}, {self.im!r})"

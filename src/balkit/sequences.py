@@ -6,7 +6,6 @@ revisit indices; the linear stream stays as the independent route."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
@@ -17,8 +16,7 @@ class IndexedTerm(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(NamedTuple):
     """Two-term recurrence S(n) = mult*S(n-1) + add*S(n-2) with fixed seeds.
 
     Negative indices run the recurrence backwards: balancing terms reflect as

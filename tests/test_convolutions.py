@@ -3,10 +3,15 @@ rationality certificates of the field-valued evaluations."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import balkit
 from balkit import (
     BALANCING,
     FIBONACCI,
@@ -122,6 +127,23 @@ def test_parity_dispatch():
     # Gaussian case, odd stays inside Q(sqrt 5).
     assert isinstance(closed_form_raw(LUCAS, 3, 2, 2), QuadRat)
     assert isinstance(closed_form_raw(LUCAS, 2, 0, 2), GaussQuad)
+
+
+def test_raw_type_independent_of_call_order():
+    # Fraction(1) == GaussQuad.of(1, 0, 5) and both hash alike, so a power cache
+    # keyed by value alone hands the Fibonacci form's GaussQuad powers to the
+    # balancing form.  A fresh interpreter makes the order below the first one.
+    code = (
+        "from fractions import Fraction\n"
+        "from balkit import BALANCING, FIBONACCI, closed_form_raw\n"
+        "closed_form_raw(FIBONACCI, 1, 0, 3)\n"
+        "raw = closed_form_raw(BALANCING, 1, 0, 3)\n"
+        "assert type(raw) is Fraction and raw == 12, repr(raw)\n"
+    )
+    src = str(Path(balkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_parameter_errors():

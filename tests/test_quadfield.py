@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import operator
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp  # an independent oracle, used by the tests only
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from balkit import (
     BALANCING,
@@ -164,3 +169,129 @@ def test_domain_errors():
         GaussQuad.of(QuadRat.of(0, 0, 5), QuadRat.of(0, 0, 5)) ** -1
     with pytest.raises(ValueError):
         GaussQuad(QuadRat.of(1, 0, 2), QuadRat.of(1, 0, 5))
+
+
+# -- properties of the merged tower, against sympy ----------------------------
+
+RADICANDS = (2, 3, 5, 7)
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def quads(d):
+    return st.builds(QuadRat.of, RATIONALS, RATIONALS, st.just(d))
+
+
+def members(d):
+    return st.one_of(quads(d), st.builds(GaussQuad, quads(d), quads(d)))
+
+
+def lower_operands(d):
+    """Operands from a floor below GaussQuad in Q(sqrt(d))(i)."""
+    return st.one_of(st.integers(-50, 50), RATIONALS, quads(d))
+
+
+def to_sympy(v):
+    if isinstance(v, GaussQuad):
+        return to_sympy(v.re) + sp.I * to_sympy(v.im)
+    if isinstance(v, QuadRat):
+        return to_sympy(v.a) + to_sympy(v.b) * sp.sqrt(v.d)
+    return sp.Rational(v.numerator, v.denominator)
+
+
+def lift(s, d, gauss):
+    """s as a full element of Q(sqrt(d)), or of Q(sqrt(d))(i) if `gauss`."""
+    q = s if isinstance(s, QuadRat) else QuadRat.of(s, 0, d)
+    return GaussQuad(q, QuadRat.of(0, 0, d)) if gauss else q
+
+
+def assert_matches(ours, oracle):
+    assert sp.expand(sp.radsimp(oracle) - to_sympy(ours)) == 0
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from(RADICANDS).flatmap(lambda d: st.tuples(members(d), members(d))))
+def test_arithmetic_matches_sympy(pair):
+    x, y = pair
+    sx, sy = to_sympy(x), to_sympy(y)
+    assert_matches(x + y, sx + sy)
+    assert_matches(x - y, sx - sy)
+    assert_matches(x * y, sx * sy)
+    if y != 0:
+        assert_matches(x / y, sx / sy)
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from(RADICANDS).flatmap(members), st.integers(-5, 5))
+def test_power_matches_sympy(x, e):
+    assume(e >= 0 or x != 0)
+    assert_matches(x ** e, to_sympy(x) ** e)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from(RADICANDS).flatmap(
+    lambda d: st.tuples(st.just(d), members(d), lower_operands(d))))
+def test_lower_floor_operand_equals_lifted_operand(case):
+    d, x, s = case
+    gauss = isinstance(x, GaussQuad)
+    if not gauss and isinstance(s, QuadRat):
+        s = s.a  # a QuadRat is not from a floor below a QuadRat
+    lifted = lift(s, d, gauss)
+    for op in OPS:
+        if op is not operator.truediv or s != 0:
+            got, want = op(x, s), op(x, lifted)
+            assert type(got) is type(want) and got == want
+        if op is not operator.truediv or x != 0:
+            got, want = op(s, x), op(lifted, x)
+            assert type(got) is type(want) and got == want
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.permutations(RADICANDS).flatmap(
+    lambda ds: st.tuples(members(ds[0]), members(ds[1]))))
+def test_mixed_radicands_raise(pair):
+    x, y = pair
+    assume(x != 0 and y != 0)
+    for op in OPS:
+        with pytest.raises(ValueError):
+            op(x, y)
+        with pytest.raises(ValueError):
+            op(y, x)
+
+
+@settings(deadline=None, max_examples=25)
+@given(RATIONALS, st.sampled_from(RADICANDS), st.sampled_from(RADICANDS),
+       st.sampled_from(RADICANDS).flatmap(members))
+def test_hash_agrees_with_equality_across_floors(r, d1, d2, x):
+    values = [r, QuadRat.of(r, 0, d1), QuadRat.of(r, 0, d2),
+              GaussQuad.of(r, 0, d1), GaussQuad.of(QuadRat.of(r, 0, d2), 0)]
+    for u in values:
+        for v in values:
+            assert u == v and hash(u) == hash(v)
+    others = values + [x.conjugate()]
+    if isinstance(x, QuadRat):
+        others.append(lift(x, x.d, True))
+    for u in others:
+        if u == x:
+            assert hash(u) == hash(x)
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from(RADICANDS).flatmap(members))
+def test_elements_are_immutable_and_pickle(x):
+    names = ("re", "im", "d") if isinstance(x, GaussQuad) else ("a", "b", "d")
+    for name in names + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    for name in names:
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    copy = pickle.loads(pickle.dumps(x))
+    assert type(copy) is type(x) and copy == x and copy.d == x.d
+
+
+@pytest.mark.parametrize("cls", [QuadRat, GaussQuad])
+def test_tracer_methods_bound_in_class_body(cls):
+    # perfbench/tracer.py wraps these from vars(cls); an inherited one raises KeyError there.
+    for name in ("__mul__", "__rmul__", "__pow__", "inverse"):
+        assert name in vars(cls)
