@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .quadfield import GaussQuad, QuadRat, certified_int
+from .quadfield import GaussQuad, QuadRat, _parts, certified_int
 from .sequences import BALANCING, FIBONACCI, LUCAS, LUCAS_BALANCING, Sequence, _memo
 
 
@@ -41,16 +41,25 @@ def brute_conv(seq: Sequence, k: int, r: int, n: int) -> int:
 def _pow(base, j: int):
     """base**j for any integer j, one cached step from base**(j -+ 1).  Equal
     values from different fields hash alike (Fraction(1) == GaussQuad.of(1, 0, 5)),
-    so the key holds the type and radicand too, or call order picks the field."""
-    return _field_pow(type(base), getattr(base, "d", None), base, j)
+    so the key holds the type and radicand too, or call order picks the field.
+    The key is plain integers, so a lookup hashes no Fraction."""
+    numerators, denominator = _parts(base)
+    return _field_pow((type(base), getattr(base, "d", None), numerators, denominator), base, j)
 
 
-@lru_cache(maxsize=None)
-def _field_pow(kind: type, d: int | None, base, j: int):
-    if -1 <= j <= 1:
-        return base ** j
-    step = 1 if j > 0 else -1
-    return _field_pow(kind, d, base, j - step) * _field_pow(kind, d, base, step)
+_POWERS: dict = {}
+
+
+def _field_pow(key: tuple, base, j: int):
+    power = _POWERS.get((key, j))
+    if power is None:
+        if -1 <= j <= 1:
+            power = base ** j
+        else:
+            step = 1 if j > 0 else -1
+            power = _field_pow(key, base, j - step) * _field_pow(key, base, step)
+        _POWERS[key, j] = power
+    return power
 
 
 @lru_cache(maxsize=None)

@@ -1,20 +1,16 @@
 """Exact arithmetic in the tower Q < Q(sqrt(d)) < Q(sqrt(d))(i).
 
-Both floors are quadratic extensions of the floor below them, so one class
-body, `_Extension`, holds all the arithmetic: an element is x + y*w with x, y
-in the floor below and w*w a fixed element of it.  `QuadRat` is a + b*sqrt(d)
-with rational a, b (w*w = d); `GaussQuad` is re + im*i with re, im in one
-Q(sqrt(d)) (w*w = -1).  An operand from a lower floor (an int, a Fraction, or
-a QuadRat beside a GaussQuad) acts on the coordinates directly and is never
-lifted into a full element.  Elements are immutable and every operation is
-exact.
+An element is integer numerators over one denominator q > 0, in lowest terms:
+(A, B)/q is the `QuadRat` (A + B*sqrt(d))/q and (A, B, C, E)/q the `GaussQuad`
+with re = (A, B)/q and im = (C, E)/q.  A value from a lower floor (an int, a
+Fraction, or a QuadRat beside a GaussQuad) is a prefix of the numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 class CancellationError(ArithmeticError):
@@ -32,41 +28,90 @@ def _frozen(self, *args):
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+def _zmul(d: int, a: int, b: int, c: int, e: int) -> tuple[int, int]:
+    """(a + b*sqrt(d)) * (c + e*sqrt(d)) in Z[sqrt(d)]."""
+    # d * (b * e), not (d * b) * e: a square then multiplies an int by itself, CPython's fast path.
+    return a * c + d * (b * e), a * e + b * c
+
+
+def _times(d: int, n: tuple, m: tuple) -> tuple:
+    """The product of two numerator tuples, on the floor of the longer one."""
+    if len(n) < len(m):
+        n, m = m, n
+    if len(m) == 1:
+        return tuple([x * m[0] for x in n])
+    if len(n) == 2:
+        return _zmul(d, n[0], n[1], m[0], m[1])
+    if len(m) == 2:
+        return _zmul(d, n[0], n[1], m[0], m[1]) + _zmul(d, n[2], n[3], m[0], m[1])
+    a, b, c, e = _times(d, n, m[:2])  # n * (x + y*i) = n*x + n*y*i, with i*i = -1
+    f, g, h, k = _times(d, n, m[2:])
+    return a - h, b - k, c + f, e + g
+
+
+def _invert(d: int, n: tuple) -> tuple[tuple, int]:
+    """1/n as (numerators, positive denominator): the conjugate over the norm,
+    which vanishes only at n = 0 (sqrt(d) is irrational, and re^2 + im^2 > 0)."""
+    if len(n) > 1:
+        h = len(n) // 2
+        conj = n[:h] + tuple([-y for y in n[h:]])
+        m, r = _invert(d, _times(d, n, conj)[:h])
+        return _times(d, conj, m), r
+    if not n[0]:
+        raise ZeroDivisionError("division by zero in the field tower")
+    return ((1,), n[0]) if n[0] > 0 else ((-1,), -n[0])
+
+
+def _parts(v) -> tuple[tuple, int] | None:
+    """(numerators, denominator) of an int, a Fraction or an element; None otherwise."""
+    if isinstance(v, _Extension):
+        return v._n, v._q
+    if isinstance(v, (int, Fraction)):
+        return (v.numerator,), v.denominator
+    return None
+
+
 class _Extension:
-    """x + y*w over the floor below, where w*w is `_w2`.
+    """x + y*w over the floor below.  Each subclass binds `__mul__`, `__rmul__`,
+    `__pow__` and `inverse` in its own body: perfbench/tracer.py wraps them there."""
 
-    A subclass sets `_scalars`, the types of the floors below, and `_w2`.
-    It also binds `__mul__`, `__rmul__`, `__pow__` and `inverse` in its own
-    body, because perfbench/tracer.py wraps them from each class's dict.
-    """
-
-    __slots__ = ("_x", "_y", "d")
+    __slots__ = ("_n", "_q", "d")
     __setattr__ = __delattr__ = _frozen
 
-    def __reduce__(self):
-        return _make, (type(self), self._x, self._y, self.d)
+    def __new__(cls, x, y, d: int):
+        """x + y*w from x and y in lowest terms; over lcm(q, r), so is the result."""
+        (n, q), (m, r) = _parts(x), _parts(y)
+        s = lcm(q, r)
+        return _make(cls, tuple([v * (s // q) for v in n] + [v * (s // r) for v in m]), s, d)
 
-    def _same(self, other) -> bool | None:
-        """True for an element of this floor and field, False for a scalar
-        from a floor below, None for anything else."""
-        if type(other) is type(self):
+    def __reduce__(self):
+        return _make, (type(self), self._n, self._q, self.d)
+
+    def _operand(self, other) -> tuple[tuple, int] | None:
+        """_parts(other) for an element of this floor and field or a scalar from below."""
+        if isinstance(other, _Extension):
+            if len(other._n) > len(self._n):
+                return None
             if other.d != self.d:
                 raise ValueError(f"mixed radicands: sqrt({self.d}) vs sqrt({other.d})")
-            return True
-        return False if isinstance(other, self._scalars) else None
+        return _parts(other)
 
     def __add__(self, other):
-        same = self._same(other)
-        if same is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        if same:
-            return _make(type(self), self._x + other._x, self._y + other._y, self.d)
-        return _make(type(self), self._x + other, self._y, self.d)
+        (m, r), n, q = o, self._n, self._q
+        # As in Fraction._add: over lcm(q, r) only a factor of g = gcd(q, r) can
+        # be left in common, so the second gcd runs on g rather than on q*r.
+        g = gcd(q, r)
+        qg, rg = q // g, r // g
+        t = tuple([x * rg + y * qg for x, y in zip(n, m)] + [x * rg for x in n[len(m):]])
+        return _make(type(self), t, qg * r, self.d, gcd(g, *t) if g > 1 else 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(type(self), -self._x, -self._y, self.d)
+        return _make(type(self), tuple([-x for x in self._n]), self._q, self.d)
 
     def __sub__(self, other):
         return self + -other
@@ -75,41 +120,38 @@ class _Extension:
         return -self + other
 
     def __mul__(self, other):
-        same = self._same(other)
-        if same is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        x, y = self._x, self._y
-        if same:
-            u, v = other._x, other._y
-            return _make(type(self), x * u + self._w2 * (y * v), x * v + y * u, self.d)
-        return _make(type(self), x * other, y * other, self.d)
+        (m, r), n, q = o, self._n, self._q
+        if len(m) > 1:
+            p = _times(self.d, n, m)
+            return _make(type(self), p, q * r, self.d, gcd(q * r, *p))
+        # A rational p/r: as in Fraction._mul, cancelling gcd(p, q) and
+        # gcd(r, *n) first leaves the product in lowest terms.
+        g, h = gcd(m[0], q), gcd(r, *n)
+        p = m[0] // g
+        return _make(type(self), tuple([x // h * p for x in n]), q // g * (r // h), self.d)
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return _make(type(self), self._x, -self._y, self.d)
+        n, h = self._n, len(self._n) // 2
+        return _make(type(self), n[:h] + tuple([-y for y in n[h:]]), self._q, self.d)
 
     def norm(self):
-        """x^2 - w^2 y^2, the product with the conjugate: an element of the
-        floor below."""
-        return self._x * self._x - self._w2 * (self._y * self._y)
+        """x^2 - w^2 y^2, the product with the conjugate, on the floor below."""
+        return (self * self.conjugate())._x
 
     def inverse(self):
-        # The norm vanishes only at zero: sqrt(d) is irrational for squarefree
-        # d >= 2, and re^2 + im^2 > 0 in the real field Q(sqrt(d)).
-        nrm = self.norm()
-        if nrm == 0:
-            raise ZeroDivisionError(f"inverse of zero in {type(self).__name__}")
-        inv = 1 / nrm
-        return _make(type(self), self._x * inv, -self._y * inv, self.d)
+        m, r = _invert(self.d, self._n)
+        m = tuple([x * self._q for x in m])
+        return _make(type(self), m, r, self.d, gcd(r, *m))
 
     def __truediv__(self, other):
-        same = self._same(other)
-        if same is None:
+        if self._operand(other) is None:
             return NotImplemented
-        if same:
-            return self * other.inverse()
-        return _make(type(self), self._x / other, self._y / other, self.d)
+        return self * (other.inverse() if isinstance(other, _Extension) else 1 / Fraction(other))
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -118,7 +160,7 @@ class _Extension:
         if exponent < 0:
             return self.inverse() ** -exponent
         if exponent == 0:
-            return _make(type(self), self._x ** 0, self._y * 0, self.d)
+            return _make(type(self), (1,) + (0,) * (len(self._n) - 1), 1, self.d)
         result, base = None, self
         while True:
             if exponent & 1:
@@ -129,28 +171,34 @@ class _Extension:
             base = base * base
 
     def __eq__(self, other) -> bool:
-        # Equal coordinates are equal values unless w differs, which only
-        # sqrt(d) does across fields.
-        if type(other) is type(self):
-            return (self._x == other._x and self._y == other._y
-                    and (self._y == 0 or self._w2 == other._w2))
-        if isinstance(other, self._scalars):
-            return self._y == 0 and self._x == other
-        return NotImplemented
+        # Lowest terms: equal tuples, one zero-padded; across fields, no sqrt(d) part.
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        (m, r), n = o, self._n
+        if len(n) < len(m):
+            n, m = m, n
+        return (r == self._q and n[:len(m)] == m and not any(n[len(m):])
+                and (getattr(other, "d", self.d) == self.d or not any(n[1::2])))
 
     def __hash__(self):
         # Values from a lower floor hash like that floor, matching __eq__.
-        return hash(self._x) if self._y == 0 else hash((self._x, self._y))
+        n = self._n
+        while len(n) > 1 and not any(n[len(n) // 2:]):
+            n = n[:len(n) // 2]
+        return hash(Fraction(n[0], self._q)) if len(n) == 1 else hash((n, self._q))
 
 
-_set_x, _set_y, _set_d = (vars(_Extension)[s].__set__ for s in _Extension.__slots__)
+_set_n, _set_q, _set_d = (vars(_Extension)[s].__set__ for s in _Extension.__slots__)
 
 
-def _make(cls, x, y, d):
-    """An element of `cls` without the public constructor's checks."""
+def _make(cls, n: tuple, q: int, d: int, g: int = 1):
+    """n/q in `cls`, divided by their common factor g, without the constructors' checks."""
+    if g > 1:
+        n, q = tuple([x // g for x in n]), q // g
     new = object.__new__(cls)
-    _set_x(new, x)
-    _set_y(new, y)
+    _set_n(new, n)
+    _set_q(new, q)
     _set_d(new, d)
     return new
 
@@ -159,18 +207,15 @@ class QuadRat(_Extension):
     """a + b*sqrt(d) with rational a, b and squarefree d >= 2."""
 
     __slots__ = ()
-    _scalars = (int, Fraction)
-    _w2 = _Extension.d  # w = sqrt(d), so w*w is the radicand
-    a, b = _Extension._x, _Extension._y
+    a = _x = property(lambda self: Fraction(self._n[0], self._q))
+    b = property(lambda self: Fraction(self._n[1], self._q))
     __mul__ = __rmul__ = _Extension.__mul__
     __pow__ = _Extension.__pow__
     inverse = _Extension.inverse
 
-    def __init__(self, a, b, d: int) -> None:
+    def __new__(cls, a, b, d: int) -> QuadRat:
         _check_radicand(d)
-        _set_x(self, a)
-        _set_y(self, b)
-        _set_d(self, d)
+        return super().__new__(cls, a, b, d)
 
     @classmethod
     def of(cls, a: int | Fraction, b: int | Fraction, d: int) -> QuadRat:
@@ -192,19 +237,16 @@ class GaussQuad(_Extension):
     """re + im*i with re, im in the same Q(sqrt(d))."""
 
     __slots__ = ()
-    _scalars = (int, Fraction, QuadRat)
-    _w2 = -1
-    re, im = _Extension._x, _Extension._y
+    re = _x = property(lambda s: _make(QuadRat, s._n[:2], s._q, s.d, gcd(s._q, *s._n[:2])))
+    im = property(lambda s: _make(QuadRat, s._n[2:], s._q, s.d, gcd(s._q, *s._n[2:])))
     __mul__ = __rmul__ = _Extension.__mul__
     __pow__ = _Extension.__pow__
     inverse = _Extension.inverse
 
-    def __init__(self, re: QuadRat, im: QuadRat) -> None:
+    def __new__(cls, re: QuadRat, im: QuadRat) -> GaussQuad:
         if re.d != im.d:
             raise ValueError("re and im must share the radicand")
-        _set_x(self, re)
-        _set_y(self, im)
-        _set_d(self, re.d)
+        return super().__new__(cls, re, im, re.d)
 
     @classmethod
     def of(cls, re, im, d: int | None = None) -> GaussQuad:

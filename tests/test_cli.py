@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -218,3 +219,30 @@ def test_json_report_rendered_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == out
+
+
+GOLDEN_REPORTS = [
+    (("conv", "B", "--k", "5", "--r", "2", "--n", "40"),
+     "b580b6382c63bfbaa448b389d081cc2fae069ddfd4bb2fa0b30bd4140f372cc2"),
+    (("conv", "C", "--k", "4", "--r", "1", "--n", "40"),
+     "b3b709be879b5f2a589ec2151ace10e5ea8a795aa8e350dd8073ff229a229b07"),
+    (("conv", "F", "--k", "3", "--r", "0", "--n", "40"),
+     "5839605e2eb537939db607ba11db6b0f13c5461f39386ae5d0876b68d95e64b4"),
+    (("conv", "L", "--k", "2", "--r", "0", "--n", "40"),
+     "7b9820d890f51bcdcf3b8c0a7551a7e92657e78eaa34aa027d8214b29202072a"),
+    (("seq", "B", "--from", "-20", "--to", "300"),
+     "0ff4034ebd1bb3d531315facf9eef04def1ab9e350a0bf5eb66fba8dee127616"),
+    (("tailfloor", "alt-even-sq-C", "--n", "200"),
+     "e0b6e985fdba0caf4db8c5662c14ab829a7c82b089041db77ca4fc93ef487ebb"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_REPORTS])
+def test_report_matches_golden_digest(capsys, argv, digest):
+    # Reports must stay byte-identical apart from wall times, so a speed-up cannot change a result.
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    del report["wall_time_s"]
+    assert hashlib.sha256(render_json(report).encode("utf-8")).hexdigest() == digest

@@ -295,3 +295,23 @@ def test_tracer_methods_bound_in_class_body(cls):
     # perfbench/tracer.py wraps these from vars(cls); an inherited one raises KeyError there.
     for name in ("__mul__", "__rmul__", "__pow__", "inverse"):
         assert name in vars(cls)
+
+
+def same_floor_pairs(d):
+    gauss = st.builds(GaussQuad, quads(d), quads(d))
+    return st.one_of(st.tuples(quads(d), quads(d)), st.tuples(gauss, gauss))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(RADICANDS).flatmap(same_floor_pairs))
+def test_routes_to_a_value_reach_one_canonical_form(pair):
+    # == and hash compare lowest-terms numerators, so every route must reduce fully.
+    x, y = pair
+    assume(y != 0)
+    routes = [(x * y) / y, (x + y) - y, x / 3 * 3, 3 * x / 3]
+    if x != 0:
+        routes.append(x ** 3 * x ** -3 * x)
+    for v in routes:
+        assert type(v) is type(x) and v == x and hash(v) == hash(x)
+    for q in (x, y) if isinstance(x, QuadRat) else (x.re, x.im, y.re, y.im):
+        assert type(q) is QuadRat and type(q.a) is Fraction and type(q.b) is Fraction
