@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import convolutions as conv
 from . import genfunc
@@ -36,6 +35,15 @@ _FAMILY_FLAGS = {
 
 class UsageError(ValueError):
     """Bad parameter combination detected after argparse."""
+
+
+def __getattr__(name: str):
+    # Importing the process pool costs more than most commands run, so it loads on first use.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _family(flag: str, a: int | None = None) -> seqs.Sequence:
@@ -77,8 +85,11 @@ def _emit(report: dict, args, text_lines: list[str]) -> None:
         print(f"checked {s['checked']}  passed {s['passed']}  failed {s['failed']}"
               f"  ({report['wall_time_s']:.3f}s)")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise UsageError(f"cannot write report to {args.output}: {exc.strerror}") from None
 
 
 def _jobs(args) -> int:
@@ -87,6 +98,8 @@ def _jobs(args) -> int:
     env = os.environ.get("BALKIT_JOBS")
     if env:
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -189,10 +202,11 @@ def _run_sweep(check, grid, jobs: int) -> tuple[int, list[dict]]:
     a process pool.  Returns (failed, per-case items)."""
     # The identities module's current binding runs, so that a check wrapped or
     # patched after import is the one called, and the pool pickles it by name.
+    # The pool class is read through the module for the same reason.
     check = getattr(ident, check.__name__)
     if jobs > 1 and len(grid) >= 256:
         chunk = max(16, len(grid) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
             verdicts = list(pool.map(check, *zip(*grid), chunksize=chunk))
     else:
         verdicts = [check(*p) for p in grid]
@@ -431,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", metavar="PATH", default=None,
                        help="also write the JSON report to PATH")
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for sweeps (default: BALKIT_JOBS or CPU count)")
+                       help="worker processes for sweeps (default: BALKIT_JOBS or usable CPUs)")
 
     p = sub.add_parser("seq", help="emit sequence terms")
     p.add_argument("family", choices=("B", "C", "F", "L", "G"))

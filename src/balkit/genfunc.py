@@ -3,23 +3,22 @@ their exact power-series expansion."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .sequences import LUCAS, LUCAS_BALANCING, Sequence, term
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(namedtuple("RationalGF", "numer denom")):
     """numer(t) / denom(t) with integer coefficients, ascending powers,
     denom(0) != 0."""
 
-    numer: tuple[int, ...]
-    denom: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.denom or self.denom[0] == 0:
+    def __new__(cls, numer: tuple[int, ...], denom: tuple[int, ...]) -> RationalGF:
+        if not denom or denom[0] == 0:
             raise ValueError("denominator must have a nonzero constant term")
+        return super().__new__(cls, numer, denom)
 
     def __str__(self) -> str:
         return f"({_poly_str(self.numer)}) / ({_poly_str(self.denom)})"

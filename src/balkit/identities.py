@@ -7,18 +7,18 @@ Verdict carries the first counterexample as (label, params, lhs, rhs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import comb, gcd
+from typing import NamedTuple
 
 from .sequences import BALANCING, LUCAS_BALANCING, _memo, pair_mod
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     holds: bool
     witness: tuple | None = None
 
+    # A plain tuple of two fields is always truthy; a Verdict is as true as it holds.
     def __bool__(self) -> bool:
         return self.holds
 

@@ -24,7 +24,7 @@ integer boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
@@ -45,27 +45,24 @@ class UndecidedIntervalError(ArithmeticError):
     """The term budget ran out before the interval pinned the floor down."""
 
 
-@dataclass(frozen=True)
-class TailSpec:
+class TailSpec(namedtuple("TailSpec", "family shape l a")):
     """family 'B' | 'C' | 'G', a shape key from SHAPES, stride l for the
     plain shape, parameter a for the G family."""
 
-    family: str
-    shape: str
-    l: int = 1
-    a: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in ("B", "C", "G"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.shape not in SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}")
-        if (self.family == "G") != self.shape.startswith("gf_"):
-            raise ValueError(f"shape {self.shape} does not belong to family {self.family}")
-        if self.shape == "plain" and self.l < 1:
-            raise ValueError(f"plain shape needs l >= 1, got {self.l}")
-        if self.family == "G" and self.a < 1:
-            raise ValueError(f"G family needs a >= 1, got {self.a}")
+    def __new__(cls, family: str, shape: str, l: int = 1, a: int = 1) -> TailSpec:
+        if family not in ("B", "C", "G"):
+            raise ValueError(f"unknown family {family!r}")
+        if shape not in SHAPES:
+            raise ValueError(f"unknown shape {shape!r}")
+        if (family == "G") != shape.startswith("gf_"):
+            raise ValueError(f"shape {shape} does not belong to family {family}")
+        if shape == "plain" and l < 1:
+            raise ValueError(f"plain shape needs l >= 1, got {l}")
+        if family == "G" and a < 1:
+            raise ValueError(f"G family needs a >= 1, got {a}")
+        return super().__new__(cls, family, shape, l, a)
 
     def sequence(self) -> Sequence:
         if self.family == "B":
@@ -319,8 +316,7 @@ def _floor_pair(interval: Interval) -> tuple[int, int] | None:
     return math.floor(1 / hi), math.floor(1 / lo)
 
 
-@dataclass(frozen=True)
-class CertifiedFloor:
+class CertifiedFloor(NamedTuple):
     value: int
     terms: int
     interval: Interval

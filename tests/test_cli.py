@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -166,12 +169,34 @@ def test_argparse_usage_exit_2():
     assert exc.value.code == 2
 
 
-def test_identity_sweep_with_worker_pool(capsys):
+def test_identity_sweep_with_worker_pool(capsys, monkeypatch):
     # Grid of 900 cases crosses the pool threshold, so this drives the
-    # multiprocess path end to end.
+    # multiprocess path end to end.  The pool class is read through the module,
+    # so a replacement bound to balkit.cli.ProcessPoolExecutor is the one used.
+    from balkit import cli
+
+    entered = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     code, out, _ = run(capsys, "identity", "gcd", "--max", "30", "--jobs", "2")
     assert code == 0
     assert "passed 900/900" in out
+    assert len(entered) == 1
+    reports = []
+    for jobs in ("2", "1"):
+        code, out, _ = run(capsys, "identity", "gcd", "--max", "30", "--jobs", jobs,
+                           "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        del report["wall_time_s"]
+        reports.append(report)
+    assert len(entered) == 2
+    assert reports[0] == reports[1]
 
 
 def test_jobs_resolution(monkeypatch):
@@ -184,6 +209,39 @@ def test_jobs_resolution(monkeypatch):
     assert _jobs(SimpleNamespace(jobs=2)) == 2
     monkeypatch.delenv("BALKIT_JOBS")
     assert _jobs(SimpleNamespace(jobs=None)) >= 1
+
+
+def test_default_jobs_follow_cpu_affinity(monkeypatch):
+    from types import SimpleNamespace
+
+    from balkit.cli import _jobs
+
+    monkeypatch.delenv("BALKIT_JOBS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _jobs(SimpleNamespace(jobs=None)) == 1
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "seq", "B", "--from", "0", "--to", "3", "--output", str(path))
+    assert code == 2
+    assert out.splitlines()[0] == "0 1 6 35"
+    assert err.startswith(f"error: cannot write report to {path}: ")
+    assert "Traceback" not in err
+
+
+def test_cli_import_skips_pool_and_dataclasses():
+    # Each balkit command is a fresh process, so a module loaded at start-up costs every command.
+    import balkit
+
+    src = os.path.dirname(os.path.dirname(balkit.__file__))
+    probe = "import sys, balkit.cli; balkit.cli.build_parser(); print(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert "balkit.cli" in out
+    heavy = {"concurrent.futures.process", "multiprocessing", "dataclasses", "inspect"}
+    assert heavy.isdisjoint(out)
 
 
 def test_cancellation_failure_exit_1(capsys, monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from balkit import (
@@ -91,6 +93,15 @@ def test_parameter_errors():
         RationalGF((1,), (0, 1))
     with pytest.raises(ValueError):
         expand(gf(BALANCING, 1, 0), 0)
+
+
+def test_rational_gf_is_an_immutable_value():
+    g = gf(BALANCING, 3, 1)
+    same = RationalGF(g.numer, g.denom)
+    assert g == same and hash(g) == hash(same)
+    assert pickle.loads(pickle.dumps(g)) == g
+    with pytest.raises(AttributeError):
+        g.numer = (0,)
 
 
 def test_gf_str_is_readable():

@@ -6,6 +6,8 @@ documented examples and a smaller grid.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from balkit import (
@@ -130,6 +132,13 @@ def test_failing_verdict_carries_witness():
     assert not v.holds and not v
     assert v.witness == ("demo", (1, 2), 3, 4)
     assert Verdict(True).witness is None
+    # Verdicts are immutable values that come back from pool workers by pickle.
+    assert bool(Verdict(False, v.witness)) is False and bool(Verdict(True)) is True
+    same = Verdict(False, ("demo", (1, 2), 3, 4))
+    assert v == same and hash(v) == hash(same)
+    assert pickle.loads(pickle.dumps(v)) == v
+    with pytest.raises(AttributeError):
+        v.holds = True
 
 
 def test_is_prime():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,22 @@ def test_spec_validation_errors():
         TailSpec("G", "gf_sq", a=0)
     with pytest.raises(ValueError):
         bracket_tail(TailSpec("B", "alt"), 2, 0)
+
+
+def test_spec_and_certificate_are_immutable_values():
+    spec = TailSpec("B", "plain")
+    assert (spec.l, spec.a) == (1, 1)
+    assert spec == TailSpec("B", "plain", l=1, a=1)
+    assert hash(spec) == hash(TailSpec("B", "plain", 1, 1))
+    cert = certify_floor(spec, 3)
+    for value in (spec, cert):
+        assert pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(AttributeError):
+        spec.l = 2
+    with pytest.raises(AttributeError):
+        cert.value = 0
+    again = certify_floor(TailSpec("B", "plain"), 3)
+    assert cert == again and hash(cert) == hash(again)
 
 
 def test_undecided_budget():
