@@ -18,19 +18,11 @@ import time
 
 from . import convolutions as conv
 from . import genfunc
-from . import identities as ident
 from . import sequences as seqs
 from . import tailfloors as tails
-from .quadfield import binet_pair
+from . import verify
 
 SCHEMA_VERSION = 1
-
-_FAMILY_FLAGS = {
-    "B": seqs.BALANCING,
-    "C": seqs.LUCAS_BALANCING,
-    "F": seqs.FIBONACCI,
-    "L": seqs.LUCAS,
-}
 
 
 class UsageError(ValueError):
@@ -47,16 +39,11 @@ def __getattr__(name: str):
 
 
 def _family(flag: str, a: int | None = None) -> seqs.Sequence:
-    if flag in _FAMILY_FLAGS:
-        return _FAMILY_FLAGS[flag]
+    if flag in verify.FAMILIES:
+        return verify.FAMILIES[flag]
     if flag == "G":
         return seqs.gen_fibonacci(a if a is not None else 1)
     raise UsageError(f"unknown family {flag!r} (expected B, C, F, L, or G)")
-
-
-def _decimal(x):
-    """Big integers as decimal strings so JSON consumers cannot overflow."""
-    return str(x)
 
 
 def _report(command: str, params: dict, items: list[dict], failed: int, t0: float) -> dict:
@@ -111,7 +98,7 @@ def cmd_seq(args) -> int:
     if args.start > args.stop:
         raise UsageError(f"--from {args.start} exceeds --to {args.stop}")
     items = [
-        {"n": t.n, "value": _decimal(t.value)}
+        {"n": t.n, "value": str(t.value)}
         for t in seqs.stream(family, args.start, args.stop)
     ]
     report = _report("seq", {"family": args.family, "from": args.start, "to": args.stop},
@@ -130,14 +117,14 @@ def cmd_gf(args) -> int:
     direct = [seqs.term(family, args.k * i + args.r) for i in range(args.terms)]
     match = coeffs == direct
     items = [
-        {"n": i, "coefficient": _decimal(c), "direct": _decimal(d), "ok": c == d}
+        {"n": i, "coefficient": str(c), "direct": str(d), "ok": c == d}
         for i, (c, d) in enumerate(zip(coeffs, direct))
     ]
     failed = sum(1 for it in items if not it["ok"])
     report = _report(
         "gf",
         {"family": args.family, "k": args.k, "r": args.r, "terms": args.terms,
-         "numer": [_decimal(c) for c in g.numer], "denom": [_decimal(c) for c in g.denom]},
+         "numer": [str(c) for c in g.numer], "denom": [str(c) for c in g.denom]},
         items, failed, t0)
     _emit(report, args, [str(g), " ".join(map(str, coeffs)),
                          "match" if match else "MISMATCH"])
@@ -156,11 +143,11 @@ def cmd_conv(args) -> int:
     failed = 0
     if args.method in ("brute", "both"):
         b = conv.brute_conv(family, args.k, args.r, args.n)
-        item["brute"] = _decimal(b)
+        item["brute"] = str(b)
         lines.append(f"brute  {b}")
     if args.method in ("closed", "both"):
         c = conv.conv_closed(family, args.k, args.r, args.n)
-        item["closed"] = _decimal(c)
+        item["closed"] = str(c)
         lines.append(f"closed {c}")
     if args.method == "both":
         item["ok"] = item["brute"] == item["closed"]
@@ -172,38 +159,12 @@ def cmd_conv(args) -> int:
 
 
 # -- identity ------------------------------------------------------------------
-#
-# Each catalog entry: the identities check and a grid builder from args.
-
-IDENTITY_CATALOG = {
-    "catalan": (ident.check_catalan,
-                lambda a: [(n, r) for n in range(a.max + 1) for r in range(n + 1)]),
-    "odd-sum": (ident.check_odd_index_sum, lambda a: [(n,) for n in range(1, a.max + 1)]),
-    "shifted-product": (ident.check_shifted_product,
-                        lambda a: [(x, y) for x in range(a.max + 1) for y in range(a.max + 1)]),
-    "addition": (ident.check_addition,
-                 lambda a: [(m, n) for n in range(a.max + 1) for m in range(n + 1)]),
-    "combination": (ident.check_combination,
-                    lambda a: [(m, n) for m in range(1, a.max + 1) for n in range(1, a.max + 1)]),
-    "gcd": (ident.check_gcd,
-            lambda a: [(m, n) for m in range(1, a.max + 1) for n in range(1, a.max + 1)]),
-    "prime-congruence": (ident.check_prime_congruences,
-                         lambda a: [(p,) for p in ident.primes_up_to(a.max_prime - 1) if p > 2]),
-    "mod-companion": (ident.check_mod_companion, lambda a: [(m,) for m in range(1, a.max + 1)]),
-    "binomial-3pow": (ident.check_binomial_3pow, lambda a: [(n,) for n in range(a.max + 1)]),
-    "binomial-plain": (ident.check_binomial_plain, lambda a: [(n,) for n in range(a.max + 1)]),
-    "second-order-product": (ident.check_second_order_product,
-                             lambda a: [(n,) for n in range(4, a.max + 1)]),
-}
-
 
 def _run_sweep(check, grid, jobs: int) -> tuple[int, list[dict]]:
     """Run a Verdict check over a grid of parameter tuples, serially or across
     a process pool.  Returns (failed, per-case items)."""
-    # The identities module's current binding runs, so that a check wrapped or
-    # patched after import is the one called, and the pool pickles it by name.
-    # The pool class is read through the module for the same reason.
-    check = getattr(ident, check.__name__)
+    # The pool class is read through the module, so that a class bound there
+    # after import is the one used.
     if jobs > 1 and len(grid) >= 256:
         chunk = max(16, len(grid) // (jobs * 8))
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -217,22 +178,20 @@ def _run_sweep(check, grid, jobs: int) -> tuple[int, list[dict]]:
         if not v.holds:
             failed += 1
             label, _, lhs, rhs = v.witness
-            it.update({"equality": label, "lhs": _decimal(lhs), "rhs": _decimal(rhs)})
+            it.update({"equality": label, "lhs": str(lhs), "rhs": str(rhs)})
         items.append(it)
     return failed, items
 
 
 def cmd_identity(args) -> int:
     t0 = time.perf_counter()
-    if args.name not in IDENTITY_CATALOG:
+    if args.name not in verify.IDENTITY_GRIDS:
         raise UsageError(f"unknown identity {args.name!r}; known: "
-                         + ", ".join(sorted(IDENTITY_CATALOG)))
-    check, grid_fn = IDENTITY_CATALOG[args.name]
-    grid = grid_fn(args)
+                         + ", ".join(sorted(verify.IDENTITY_GRIDS)))
+    check, grid = verify.identity_sweep(args.name, args.max, args.max_prime)
     failed, items = _run_sweep(check, grid, _jobs(args))
-    report = _report("identity", {"name": args.name, "max": getattr(args, "max", None),
-                                  "max_prime": getattr(args, "max_prime", None)},
-                     items, failed, t0)
+    report = _report("identity", {"name": args.name, "max": args.max,
+                                  "max_prime": args.max_prime}, items, failed, t0)
     failures = [it for it in items if not it["ok"]]
     _emit(report, args, [f"{args.name}: passed {len(grid) - failed}/{len(grid)}"]
           + [f"  FAIL {f}" for f in failures[:10]])
@@ -241,13 +200,8 @@ def cmd_identity(args) -> int:
 
 # -- tailfloor -------------------------------------------------------------------
 
-_TAIL_NAMES: dict[str, tuple[str, str]] = {}
-for _shape in tails.SHAPES:
-    if _shape.startswith("gf_"):
-        _TAIL_NAMES[_shape.replace("_", "-") + "-G"] = ("G", _shape)
-    else:
-        for _fam in ("B", "C"):
-            _TAIL_NAMES[_shape.replace("_", "-") + f"-{_fam}"] = (_fam, _shape)
+_TAIL_NAMES = {f"{shape.replace('_', '-')}-{fam}": (fam, shape) for shape in tails.SHAPES
+               for fam in (("G",) if shape.startswith("gf_") else ("B", "C"))}
 
 
 def _tail_spec(args) -> tails.TailSpec:
@@ -266,168 +220,55 @@ def cmd_tailfloor(args) -> int:
     item: dict = {"spec": args.spec, "n": args.n, "l": spec.l, "a": spec.a}
     lines = []
     failed = 0
-    code = 0
     try:
         if args.mode in ("closed", "certify"):
             c = tails.closed_floor(spec, args.n)
-            item["closed"] = _decimal(c)
+            item["closed"] = str(c)
             lines.append(f"closed   {c}")
         if args.mode in ("verified", "certify"):
             cert = tails.certify_floor(spec, args.n)
-            item["verified"] = _decimal(cert.value)
+            item["verified"] = str(cert.value)
             item["terms"] = cert.terms
             lines.append(f"verified {cert.value}  ({cert.terms} terms)")
         if args.mode == "certify":
             item["ok"] = item["closed"] == item["verified"]
             failed = 0 if item["ok"] else 1
             lines.append("match" if item["ok"] else "MISMATCH")
-            code = 1 if failed else 0
     except tails.UndecidedIntervalError as exc:
         item["undecided"] = str(exc)
-        failed, code = 1, 1
+        failed = 1
         lines.append(f"undecided: {exc}")
     report = _report("tailfloor", {"spec": args.spec, "mode": args.mode}, [item], failed, t0)
     _emit(report, args, lines)
-    return code
+    return 1 if failed else 0
 
 
 # -- verify-all ------------------------------------------------------------------
 
-def _unit_kernel() -> tuple[int, int]:
-    checked = failed = 0
-    bs = seqs.values(seqs.BALANCING, 0, 5001)
-    cs = seqs.values(seqs.LUCAS_BALANCING, 0, 5001)
-    for n in range(5001):
-        checked += 1
-        if seqs.pair_fast(n) != (bs[n], cs[n]):
-            failed += 1
-    for n in range(-50, 201):
-        checked += 1
-        want = (bs[n], cs[n]) if n >= 0 else (-bs[-n], cs[-n])
-        if binet_pair(n) != want:
-            failed += 1
-    for n in range(2001):
-        checked += 1
-        if cs[n] ** 2 - 8 * bs[n] ** 2 != 1:
-            failed += 1
-    return checked, failed
-
-
-# (catalog name, --max or --max-prime) of the identity sweeps verify-all runs.
-_VERIFY_IDENTITIES = (("gcd", 150), ("catalan", 100), ("prime-congruence", 10000),
-                      ("mod-companion", 60), ("binomial-3pow", 60), ("binomial-plain", 60),
-                      ("second-order-product", 200))
-
-
-def _unit_identities(jobs: int) -> tuple[int, int]:
-    checked = failed = 0
-    for name, bound in _VERIFY_IDENTITIES:
-        check, grid_fn = IDENTITY_CATALOG[name]
-        grid = grid_fn(argparse.Namespace(max=bound, max_prime=bound))
-        bad, _ = _run_sweep(check, grid, jobs)
-        checked += len(grid)
-        failed += bad
-    return checked, failed
-
-
-def _unit_genfunc() -> tuple[int, int]:
-    checked = failed = 0
-    for family in _FAMILY_FLAGS.values():
-        for k in range(1, 7):
-            for r in range(k):
-                got = genfunc.expand(genfunc.gf(family, k, r), 50)
-                want = [seqs.term(family, k * i + r) for i in range(50)]
-                checked += 1
-                if got != want:
-                    failed += 1
-        for k in range(1, 6):
-            for r in range(k):
-                prefix = genfunc.expand(genfunc.gf(family, k, r), 31)
-                squared = genfunc.series_mul(prefix, prefix, 31)
-                checked += 1
-                if any(squared[n] != conv.brute_conv(family, k, r, n) for n in range(31)):
-                    failed += 1
-    return checked, failed
-
-
-def _unit_convolutions() -> tuple[int, int]:
-    checked = failed = 0
-    for family in _FAMILY_FLAGS.values():
-        for k in range(1, 6):
-            for r in range(k):
-                for n in range(41):
-                    checked += 1
-                    if conv.conv_closed(family, k, r, n) != conv.brute_conv(family, k, r, n):
-                        failed += 1
-    return checked, failed
-
-
-def _unit_tailfloors() -> tuple[int, int]:
-    checked = failed = 0
-    for fam in ("B", "C"):
-        for shape in tails.SHAPES:
-            if shape.startswith("gf_"):
-                continue
-            for l in (1, 2, 3) if shape == "plain" else (1,):
-                spec = tails.TailSpec(fam, shape, l=l)
-                c, f = _certify_range(spec)
-                checked += c
-                failed += f
-    for a in (1, 2, 3):
-        for shape in tails.SHAPES:
-            if shape.startswith("gf_"):
-                c, f = _certify_range(tails.TailSpec("G", shape, a=a))
-                checked += c
-                failed += f
-    return checked, failed
-
-
-def _certify_range(spec: tails.TailSpec) -> tuple[int, int]:
-    checked = failed = 0
-    for n in range(tails.threshold(spec), 26):
-        checked += 1
-        try:
-            if tails.closed_floor(spec, n) != tails.verified_floor(spec, n, max_terms=16):
-                failed += 1
-        except tails.UndecidedIntervalError:
-            failed += 1
-    return checked, failed
-
-
-VERIFY_UNITS = [
-    ("kernel", lambda jobs: _unit_kernel()),
-    ("identities", _unit_identities),
-    ("genfunc", lambda jobs: _unit_genfunc()),
-    ("convolutions", lambda jobs: _unit_convolutions()),
-    ("tailfloors", lambda jobs: _unit_tailfloors()),
-]
-
-
 def cmd_verify_all(args) -> int:
     t0 = time.perf_counter()
-    jobs = _jobs(args)
+    deadline = float("inf") if args.budget is None else t0 + args.budget
     items = []
     lines = []
-    total_failed = 0
-    for name, unit in VERIFY_UNITS:
-        elapsed = time.perf_counter() - t0
-        if args.budget is not None and elapsed > args.budget:
-            items.append({"unit": name, "skipped": True})
-            lines.append(f"{name}: skipped (budget)")
-            continue
+    for name, cases in verify.plan():
         u0 = time.perf_counter()
-        checked, failed = unit(jobs)
-        total_failed += failed
+        checked, failed, witness, skipped = verify.run(cases, deadline)
+        seconds = time.perf_counter() - u0
         items.append({"unit": name, "checked": checked, "failed": failed,
-                      "seconds": round(time.perf_counter() - u0, 3)})
-        lines.append(f"{name}: {checked - failed}/{checked} ok"
-                     f" ({time.perf_counter() - u0:.2f}s)")
-    report = _report("verify-all", {"budget": args.budget}, items, total_failed, t0)
-    total_checked = sum(it.get("checked", 0) for it in items)
-    report["summary"] = {"checked": total_checked, "passed": total_checked - total_failed,
-                         "failed": total_failed}
+                      "seconds": round(seconds, 3)})
+        lines.append(f"{name}: {checked - failed}/{checked} ok ({seconds:.2f}s)"
+                     + (", skipped (budget)" if skipped else ""))
+        if skipped:
+            items[-1]["skipped"] = True
+        if witness:
+            items[-1]["witness"] = witness
+            lines.append(f"  FAIL {witness}")
+    checked = sum(it["checked"] for it in items)
+    failed = sum(it["failed"] for it in items)
+    report = _report("verify-all", {"budget": args.budget}, items, failed, t0)
+    report["summary"] = {"checked": checked, "passed": checked - failed, "failed": failed}
     _emit(report, args, lines)
-    return 0 if total_failed == 0 else 1
+    return 0 if failed == 0 else 1
 
 
 # -- parser ----------------------------------------------------------------------
@@ -445,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", metavar="PATH", default=None,
                        help="also write the JSON report to PATH")
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for sweeps (default: BALKIT_JOBS or usable CPUs)")
+                       help="worker processes for identity sweeps "
+                            "(default: BALKIT_JOBS or usable CPUs)")
 
     p = sub.add_parser("seq", help="emit sequence terms")
     p.add_argument("family", choices=("B", "C", "F", "L", "G"))
@@ -490,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the bundled verification sweep")
     p.add_argument("--budget", type=float, default=None,
-                   help="soft time cap in seconds; remaining units are skipped")
+                   help="soft time cap in seconds; the sweep stops at the first case past it")
     commons(p)
     p.set_defaults(fn=cmd_verify_all)
 

@@ -1,50 +1,20 @@
 """Acceptance sweep: the seven exit criteria, each printed as one PASS/FAIL line.
 
 Every comparison is exact (tolerance zero): equality of arbitrary-precision
-integers or exact rationals.  Run with `pytest tests/test_acceptance.py -v -s`
-to see the per-criterion lines and timings.
+integers or exact rationals.  The grids are the units of `balkit.verify`, the
+same plan `balkit verify-all` runs.  Run with `pytest tests/test_acceptance.py
+-v -s` to see the per-criterion lines and timings.
 """
 
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 
-from balkit import (
-    BALANCING,
-    FIBONACCI,
-    LUCAS,
-    LUCAS_BALANCING,
-    SHAPES,
-    GaussQuad,
-    QuadRat,
-    TailSpec,
-    binet_pair,
-    brute_conv,
-    certify_floor,
-    check_binomial_3pow,
-    check_binomial_plain,
-    check_catalan,
-    check_gcd,
-    check_mod_companion,
-    check_prime_congruences,
-    check_second_order_product,
-    closed_floor,
-    closed_form_raw,
-    conv_closed,
-    expand,
-    gf,
-    kronecker_p8,
-    pair_fast,
-    pair_mod,
-    primes_up_to,
-    series_mul,
-    term,
-    values,
-    threshold,
-)
+from balkit import TailSpec, certify_floor, verify
 
-FAMILIES = (BALANCING, LUCAS_BALANCING, FIBONACCI, LUCAS)
+# The benchmark's `sweep` workload requires exactly these counts.
+PLAN_COUNTS = [("kernel", 7253), ("identities", 29258), ("genfunc", 144),
+               ("convolutions", 2460), ("tailfloors", 895)]
 
 
 def _report(num: int, name: str, ok: bool, t0: float, detail: str = "") -> None:
@@ -53,83 +23,29 @@ def _report(num: int, name: str, ok: bool, t0: float, detail: str = "") -> None:
     print(f"ACCEPTANCE {num} ({name}): {status}{extra} [{time.perf_counter() - t0:.1f}s]")
 
 
-def _conv_grid():
-    for family in FAMILIES:
-        for k in range(1, 6):
-            for r in range(k):
-                for n in range(41):
-                    yield family, k, r, n
+def _criterion(num: int, name: str, unit) -> None:
+    t0 = time.perf_counter()
+    checked, failed, witness, skipped = verify.run(unit())
+    _report(num, name, not failed, t0, f"witness={witness}" if witness else f"{checked} checks")
+    assert (checked, failed, witness, skipped) == (dict(PLAN_COUNTS)[unit.__name__], 0, None, False)
+
+
+def test_plan_case_counts():
+    counts = [(name, sum(1 for _ in cases)) for name, cases in verify.plan()]
+    assert counts == PLAN_COUNTS
+    assert sum(n for _, n in counts) == 40010
 
 
 def test_criterion_1_convolution_certification():
-    t0 = time.perf_counter()
-    mismatches = [
-        (family.key, k, r, n)
-        for family, k, r, n in _conv_grid()
-        if conv_closed(family, k, r, n) != brute_conv(family, k, r, n)
-    ]
-    _report(1, "convolution closed = brute, k<=5, n<=40", not mismatches, t0,
-            f"mismatches={mismatches[:5]}" if mismatches else "2460 points")
-    assert not mismatches
-
-
-def test_criterion_2_rationality_certificates():
-    t0 = time.perf_counter()
-    bad = []
-    for family, k, r, n in _conv_grid():
-        raw = closed_form_raw(family, k, r, n)
-        if isinstance(raw, GaussQuad):
-            if raw.im.a != 0 or raw.im.b != 0 or raw.re.b != 0:
-                bad.append((family.key, k, r, n))
-            elif raw.re.a.denominator != 1:
-                bad.append((family.key, k, r, n))
-        elif isinstance(raw, QuadRat):
-            if raw.b != 0 or raw.a.denominator != 1:
-                bad.append((family.key, k, r, n))
-        elif isinstance(raw, Fraction):
-            if raw.denominator != 1:
-                bad.append((family.key, k, r, n))
-        else:
-            bad.append((family.key, k, r, n, "unexpected type"))
-    _report(2, "sqrt(d)/imaginary residues all exactly zero", not bad, t0,
-            f"bad={bad[:5]}" if bad else "")
-    assert not bad
-
-
-def _tail_grid():
-    for fam in ("B", "C"):
-        for shape in SHAPES:
-            if shape.startswith("gf_"):
-                continue
-            ls = (1, 2, 3) if shape == "plain" else (1,)
-            for l in ls:
-                spec = TailSpec(fam, shape, l=l)
-                for n in range(threshold(spec), 26):
-                    yield spec, n
-    for a in (1, 2, 3):
-        for shape in SHAPES:
-            if shape.startswith("gf_"):
-                spec = TailSpec("G", shape, a=a)
-                for n in range(threshold(spec), 26):
-                    yield spec, n
+    # The closed forms go through certified_int, so every sqrt(d), imaginary or
+    # fractional residue is also a counted failure here.
+    _criterion(1, "convolution closed = brute, k<=5, n<=40, residues all exactly zero",
+               verify.convolutions)
 
 
 def test_criterion_3_tail_floor_certification():
-    t0 = time.perf_counter()
-    bad = []
-    count = 0
-    worst_terms = 0
-    for spec, n in _tail_grid():
-        count += 1
-        cert = certify_floor(spec, n, max_terms=16)
-        worst_terms = max(worst_terms, cert.terms)
-        if cert.value != closed_floor(spec, n):
-            bad.append((spec, n, cert.value))
-    ok = not bad and worst_terms <= 16
-    _report(3, "closed_floor = verified_floor, n<=25, l,a<=3", ok, t0,
-            f"{count} certificates, max terms {worst_terms}")
-    assert not bad
-    assert worst_terms <= 16
+    _criterion(3, "closed_floor = verified_floor within 16 terms, n<=25, l,a<=3",
+               verify.tailfloors)
 
 
 def test_criterion_4_spot_floor_values():
@@ -150,80 +66,14 @@ def test_criterion_4_spot_floor_values():
 
 
 def test_criterion_5_identity_sweeps():
-    t0 = time.perf_counter()
-    failures = []
-
-    for m in range(1, 151):
-        for n in range(1, 151):
-            if not check_gcd(m, n).holds:
-                failures.append(("gcd", m, n))
-    for p in primes_up_to(9999):
-        if p == 2:
-            continue
-        if not check_prime_congruences(p).holds:
-            failures.append(("prime", p))
-        if pair_mod(p, p)[0] != kronecker_p8(p) % p:
-            failures.append(("kronecker", p))
-    for m in range(1, 61):
-        if not check_mod_companion(m).holds:
-            failures.append(("mod-companion", m))
-    for n in range(61):
-        if not check_binomial_3pow(n).holds:
-            failures.append(("binomial-3pow", n))
-        if not check_binomial_plain(n).holds:
-            failures.append(("binomial-plain", n))
-    for n in range(101):
-        for r in range(n + 1):
-            if not check_catalan(n, r).holds:
-                failures.append(("catalan", n, r))
-    for n in range(4, 201):
-        if not check_second_order_product(n).holds:
-            failures.append(("second-order", n))
-
-    _report(5, "identity sweeps green (gcd, primes<1e4, mod-C, binomials, "
-               "catalan, second-order)", not failures, t0,
-            f"failures={failures[:5]}" if failures else "")
-    assert not failures
+    _criterion(5, "identity sweeps green (gcd, primes<1e4, mod-C, binomials, "
+                  "catalan, second-order)", verify.identities)
 
 
 def test_criterion_6_generating_functions():
-    t0 = time.perf_counter()
-    bad = []
-    for family in FAMILIES:
-        for k in range(1, 7):
-            for r in range(k):
-                coeffs = expand(gf(family, k, r), 50)
-                direct = [term(family, k * i + r) for i in range(50)]
-                if coeffs != direct:
-                    bad.append(("expand", family.key, k, r))
-        for k in range(1, 6):
-            for r in range(k):
-                prefix = expand(gf(family, k, r), 31)
-                squared = series_mul(prefix, prefix, 31)
-                for n in range(31):
-                    if squared[n] != brute_conv(family, k, r, n):
-                        bad.append(("square", family.key, k, r, n))
-    _report(6, "gf expansions match terms (k<=6) and squared-gf matches "
-               "brute convolutions (n<=30)", not bad, t0,
-            f"bad={bad[:5]}" if bad else "")
-    assert not bad
+    _criterion(6, "gf expansions match terms (k<=6) and squared-gf matches "
+                  "brute convolutions (n<=30)", verify.genfunc)
 
 
 def test_criterion_7_kernel_self_consistency():
-    t0 = time.perf_counter()
-    bs = values(BALANCING, 0, 5001)
-    cs = values(LUCAS_BALANCING, 0, 5001)
-    bad = []
-    for n in range(5001):
-        if pair_fast(n) != (bs[n], cs[n]):
-            bad.append(("pair_fast", n))
-    for n in range(-50, 201):
-        want = (bs[n], cs[n]) if n >= 0 else (-bs[-n], cs[-n])
-        if binet_pair(n) != want:
-            bad.append(("binet", n))
-    for n in range(2001):
-        if cs[n] ** 2 - 8 * bs[n] ** 2 != 1:
-            bad.append(("pell", n))
-    _report(7, "fast doubling / closed form / Pell invariant agree", not bad, t0,
-            f"bad={bad[:5]}" if bad else "")
-    assert not bad
+    _criterion(7, "fast doubling / closed form / Pell invariant agree", verify.kernel)

@@ -160,6 +160,56 @@ def test_verify_all_small_budget_skips(capsys):
     assert any(it.get("skipped") for it in report["items"])
 
 
+def test_verify_all_budget_stops_inside_a_unit(capsys, monkeypatch):
+    from balkit import verify
+
+    ticks = iter(range(10**6))
+    real_run = verify.run
+    # The clock reads 0 for the first 100 cases and then jumps past any deadline.
+    monkeypatch.setattr(verify, "run", lambda cases, deadline: real_run(
+        cases, deadline, clock=lambda: 0.0 if next(ticks) < 100 else float("inf")))
+    code, out, _ = run(capsys, "verify-all", "--budget", "1000", "--format", "json")
+    assert code == 0
+    items = json.loads(out)["items"]
+    assert items[0] == {**items[0], "unit": "kernel", "checked": 100, "failed": 0,
+                        "skipped": True}
+    assert [(it["checked"], it.get("skipped")) for it in items[1:]] == [(0, True)] * 4
+    assert json.loads(out)["summary"] == {"checked": 100, "passed": 100, "failed": 0}
+
+
+@pytest.mark.parametrize("fault", ["cancellation", "wrong value"])
+def test_verify_all_failure_reports_witness(tmp_path, capsys, monkeypatch, fault):
+    from balkit import convolutions
+    from balkit.quadfield import CancellationError
+
+    real = convolutions.conv_closed
+
+    def closed(seq, k, r, n):
+        if (seq.key, k, r, n) != ("balancing", 3, 1, 7):
+            return real(seq, k, r, n)
+        if fault == "cancellation":
+            raise CancellationError("irrational residue survived")
+        return real(seq, k, r, n) + 1
+
+    monkeypatch.setattr(convolutions, "conv_closed", closed)
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify-all", "--format", "json", "--output", str(path))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert path.read_text(encoding="utf-8") == out
+    assert report["summary"] == {"checked": 40010, "passed": 40009, "failed": 1}
+    unit = {it["unit"]: it for it in report["items"]}["convolutions"]
+    witness = {"label": "conv", "params": ["balancing", 3, 1, 7]}
+    if fault == "cancellation":
+        witness["error"] = "irrational residue survived"
+    else:
+        value = real(convolutions.BALANCING, 3, 1, 7)
+        witness.update(lhs=str(value + 1), rhs=str(value))
+    assert unit == {**unit, "checked": 2460, "failed": 1, "witness": witness}
+    assert all(sorted(it) == ["checked", "failed", "seconds", "unit"]
+               for it in report["items"] if it is not unit)
+
+
 def test_argparse_usage_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["seq", "Q", "--from", "0", "--to", "3"])
