@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import time
 
-from balkit import TailSpec, certify_floor, verify
+from balkit import (CancellationError, TailSpec, certified_int, certify_floor, closed_form_raw,
+                    verify)
 
 # The benchmark's `sweep` workload requires exactly these counts.
 PLAN_COUNTS = [("kernel", 7253), ("identities", 29258), ("genfunc", 144),
@@ -37,10 +38,25 @@ def test_plan_case_counts():
 
 
 def test_criterion_1_convolution_certification():
-    # The closed forms go through certified_int, so every sqrt(d), imaginary or
-    # fractional residue is also a counted failure here.
-    _criterion(1, "convolution closed = brute, k<=5, n<=40, residues all exactly zero",
-               verify.convolutions)
+    _criterion(1, "convolution closed = brute, k<=5, n<=40", verify.convolutions)
+
+
+def test_criterion_2_rationality_certificates():
+    # Every raw closed form on the plan's convolution grid must collapse to a
+    # rational integer: certified_int raises on any sqrt(d), imaginary or
+    # fractional residue.
+    t0 = time.perf_counter()
+    bad = []
+    count = 0
+    for _, _, (family, k, r, n) in verify.convolutions():
+        count += 1
+        try:
+            certified_int(closed_form_raw(family, k, r, n))
+        except CancellationError as exc:
+            bad.append((family.key, k, r, n, str(exc)))
+    _report(2, "sqrt(d)/imaginary/fractional residues all exactly zero", not bad, t0,
+            f"bad={bad[:5]}" if bad else f"{count} closed forms")
+    assert (count, bad) == (dict(PLAN_COUNTS)["convolutions"], [])
 
 
 def test_criterion_3_tail_floor_certification():
