@@ -113,22 +113,27 @@ def cmd_gf(args) -> int:
     t0 = time.perf_counter()
     family = _family(args.family)
     g = genfunc.gf(family, args.k, args.r)
-    coeffs = genfunc.expand(g, args.terms)
-    direct = [seqs.term(family, args.k * i + args.r) for i in range(args.terms)]
-    match = coeffs == direct
-    items = [
-        {"n": i, "coefficient": str(c), "direct": str(d), "ok": c == d}
-        for i, (c, d) in enumerate(zip(coeffs, direct))
-    ]
-    failed = sum(1 for it in items if not it["ok"])
+    lines = [str(g)]
+    try:
+        coeffs = genfunc.expand(g, args.terms)
+    except ArithmeticError as exc:
+        items = [{"error": str(exc)}]
+        lines.append(f"error: {exc}")
+    else:
+        direct = [seqs.term(family, args.k * i + args.r) for i in range(args.terms)]
+        items = [
+            {"n": i, "coefficient": str(c), "direct": str(d), "ok": c == d}
+            for i, (c, d) in enumerate(zip(coeffs, direct))
+        ]
+        lines += [" ".join(map(str, coeffs)), "match" if coeffs == direct else "MISMATCH"]
+    failed = sum(1 for it in items if not it.get("ok"))
     report = _report(
         "gf",
         {"family": args.family, "k": args.k, "r": args.r, "terms": args.terms,
          "numer": [str(c) for c in g.numer], "denom": [str(c) for c in g.denom]},
         items, failed, t0)
-    _emit(report, args, [str(g), " ".join(map(str, coeffs)),
-                         "match" if match else "MISMATCH"])
-    return 0 if match else 1
+    _emit(report, args, lines)
+    return 1 if failed else 0
 
 
 # -- conv ----------------------------------------------------------------------
@@ -141,18 +146,24 @@ def cmd_conv(args) -> int:
     item: dict = {"k": args.k, "r": args.r, "n": args.n}
     lines = []
     failed = 0
-    if args.method in ("brute", "both"):
-        b = conv.brute_conv(family, args.k, args.r, args.n)
-        item["brute"] = str(b)
-        lines.append(f"brute  {b}")
-    if args.method in ("closed", "both"):
-        c = conv.conv_closed(family, args.k, args.r, args.n)
-        item["closed"] = str(c)
-        lines.append(f"closed {c}")
-    if args.method == "both":
-        item["ok"] = item["brute"] == item["closed"]
-        failed = 0 if item["ok"] else 1
-        lines.append("match" if item["ok"] else "MISMATCH")
+    try:
+        if args.method in ("brute", "both"):
+            b = conv.brute_conv(family, args.k, args.r, args.n)
+            item["brute"] = str(b)
+            lines.append(f"brute  {b}")
+        if args.method in ("closed", "both"):
+            c = conv.conv_closed(family, args.k, args.r, args.n)
+            item["closed"] = str(c)
+            lines.append(f"closed {c}")
+    except ArithmeticError as exc:
+        item["error"] = str(exc)
+        failed = 1
+        lines.append(f"error: {exc}")
+    else:
+        if args.method == "both":
+            item["ok"] = item["brute"] == item["closed"]
+            failed = 0 if item["ok"] else 1
+            lines.append("match" if item["ok"] else "MISMATCH")
     report = _report("conv", {"family": args.family, "method": args.method}, [item], failed, t0)
     _emit(report, args, lines)
     return 1 if failed else 0

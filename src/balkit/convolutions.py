@@ -1,9 +1,11 @@
 """Convolution sums of strided subsequences, evaluated two independent ways.
 
 brute_conv sums the n+1 products directly.  The closed forms rewrite the sum
-through the derivative of the subsequence generating function; their inner
-weights are conjugate-pair expressions over Q(sqrt 2)(i), Q(sqrt 5)(i), or
-plain rationals, whose irrational and imaginary parts must cancel identically.
+through the derivative of the subsequence generating function.  Every family
+is a Lucas sequence U(P, Q) or V(P, Q)/s with Q = +-1, and one weight formula
+in (P, Q) serves them all: conjugate-pair expressions over Q(sqrt d)(i),
+Q(sqrt d) or plain rationals, d the squarefree part of D = P^2 - 4Q, whose
+irrational and imaginary parts must cancel identically.
 Both conjugate powers are computed independently (no conjugation shortcut), so
 the final certified extraction doubles as a self-check of the whole evaluation.
 """
@@ -12,9 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .quadfield import GaussQuad, QuadRat, _parts, certified_int
-from .sequences import BALANCING, FIBONACCI, LUCAS, LUCAS_BALANCING, Sequence, _memo
+from .sequences import BALANCING, Sequence, _lucas_type, _lucas_u, _memo
 
 
 def _validate(k: int, r: int, n: int) -> None:
@@ -34,8 +37,9 @@ def brute_conv(seq: Sequence, k: int, r: int, n: int) -> int:
 # -- inner weights -----------------------------------------------------------
 #
 # Weight w(j) multiplies (n - j + 1) * term(k*(n-j+1) + r) inside each closed
-# form; it depends on (family, k, r, j) only, so powers of the conjugate bases
-# are built incrementally and shared across every n of a sweep.
+# form; it depends on (family, k, r, j) only, so each (family, k, r) keeps one
+# row of weights, and powers of the conjugate bases are built incrementally and
+# shared across every n of a sweep.
 
 
 def _pow(base, j: int):
@@ -63,88 +67,43 @@ def _field_pow(key: tuple, base, j: int):
 
 
 @lru_cache(maxsize=None)
-def _weight_balancing(k: int, r: int, j: int) -> Fraction:
-    bk, br, bkr = _memo(BALANCING, k), _memo(BALANCING, r), _memo(BALANCING, k - r)
-    plus = _pow(Fraction(bk + br), -j - 1)
-    minus = _pow(Fraction(bk - br), -j - 1)
-    return Fraction(bk * bkr ** j, 2) * ((-1) ** j * plus + minus)
+def _row(seq: Sequence, k: int, r: int) -> tuple:
+    """(subtract, half, plus, minus, rot, weights) of one family, k and r.
 
-
-@lru_cache(maxsize=None)
-def _weight_lucas_balancing(k: int, r: int, j: int) -> GaussQuad:
-    bk = _memo(BALANCING, k)
-    cr, ckr = _memo(LUCAS_BALANCING, r), _memo(LUCAS_BALANCING, k - r)
-    x = QuadRat.of(0, 2 * bk, 2)  # 2 sqrt(2) B(k)
-    plus = _pow(GaussQuad.of(x, cr), -j - 1)
-    minus = _pow(GaussQuad.of(x, -cr), -j - 1)
-    rot = _pow(GaussQuad.of(0, ckr, 2), j)  # (C(k-r) i)^j
-    return rot * x * Fraction(1, 2) * (plus + (-1) ** j * minus)
-
-
-@lru_cache(maxsize=None)
-def _weight_fibonacci(k: int, r: int, j: int):
-    fk, fr, fkr = _memo(FIBONACCI, k), _memo(FIBONACCI, r), _memo(FIBONACCI, k - r)
-    sign = (-1) ** (k * j)
-    if (k - r) % 2 == 0:
-        plus = _pow(Fraction(fk + fr), -j - 1)
-        minus = _pow(Fraction(fk - fr), -j - 1)
-        return sign * Fraction(fk * fkr ** j, 2) * ((-1) ** j * plus + minus)
-    plus = _pow(GaussQuad.of(fk, fr, 5), -j - 1)
-    minus = _pow(GaussQuad.of(fk, -fr, 5), -j - 1)
-    rot = _pow(GaussQuad.of(0, fkr, 5), j)  # (F(k-r) i)^j
-    return rot * Fraction(sign * fk, 2) * (plus + (-1) ** j * minus)
-
-
-@lru_cache(maxsize=None)
-def _weight_lucas(k: int, r: int, j: int):
-    fk = _memo(FIBONACCI, k)
-    lr, lkr = _memo(LUCAS, r), _memo(LUCAS, k - r)
-    sign = (-1) ** ((r + 1) * j)
-    x = QuadRat.of(0, fk, 5)  # sqrt(5) F(k)
-    if (k - r) % 2 == 0:
-        plus = _pow(GaussQuad.of(x, lr), -j - 1)
-        minus = _pow(GaussQuad.of(x, -lr), -j - 1)
-        rot = _pow(GaussQuad.of(0, lkr, 5), j)  # (L(k-r) i)^j
-        return rot * x * Fraction(sign, 2) * ((-1) ** j * plus + minus)
-    plus = _pow(x + lr, -j - 1)
-    minus = _pow(x - lr, -j - 1)
-    return x * Fraction(sign * lkr ** j, 2) * ((-1) ** j * plus + minus)
-
-
-_WEIGHTS = {
-    "balancing": _weight_balancing,
-    "lucas-balancing": _weight_lucas_balancing,
-    "fibonacci": _weight_fibonacci,
-    "lucas": _weight_lucas,
-}
-
-# Families whose weighted sum is subtracted from +(n+1)*term(k(n+1)+r) rather
-# than added to its negative; Fibonacci dispatches on the parity of k - r.
-def _subtract_form(key: str, k: int, r: int) -> bool:
-    if key == "lucas-balancing":
-        return True
-    odd = (k - r) % 2 == 1
-    if key == "fibonacci":
-        return odd
-    if key == "lucas":
-        return not odd
-    return False
+    With a = U(k) for U-type families and a = sqrt(D) U(k)/s for V-type ones,
+    w(j) = a/2 * rot^j * ((-1)^j plus^(-j-1) + minus^(-j-1)) over the bases
+    a +- S(r) and rot = +-Q^r S(k-r) (+ for U-type, - for V-type).  Where the
+    weighted sum is subtracted (Q^(k-r) = -1 for U-type, +1 for V-type), S(r)
+    and rot carry a factor i.  closed_form_raw extends the weights as n grows.
+    """
+    p, q, kind = _lucas_type(seq)
+    disc = p * p - 4 * q
+    f = max(f for f in range(1, isqrt(disc) + 1) if disc % (f * f) == 0)
+    d = disc // (f * f)  # the squarefree radicand
+    uk, sr, skr = _lucas_u(p, q, k)[0], _memo(seq, r), _memo(seq, k - r)
+    sign = 1 if kind == "U" else -1
+    subtract = q ** (k - r) == -sign
+    a = Fraction(uk) if kind == "U" else QuadRat.of(0, Fraction(f * uk * seq.seed0, 2), d)
+    rot = Fraction(sign * q ** r * skr)
+    if subtract:
+        sr, rot = GaussQuad.of(0, sr, d), GaussQuad.of(0, rot, d)
+    return subtract, a / 2, a + sr, a - sr, rot, []
 
 
 def closed_form_raw(seq: Sequence, k: int, r: int, n: int):
     """The closed-form total before rationality extraction: a Fraction,
     QuadRat, or GaussQuad whose irrational parts must vanish identically."""
     _validate(k, r, n)
-    if seq.key not in _WEIGHTS:
-        raise ValueError(f"no convolution closed form for {seq}")
-    weight = _WEIGHTS[seq.key]
+    subtract, half, plus, minus, rot, weights = _row(seq, k, r)
+    for j in range(len(weights), n + 1):
+        weights.append(_pow(rot, j) * half * ((-1) ** j * _pow(plus, -j - 1) + _pow(minus, -j - 1)))
     edge = (n + 1) * _memo(seq, k * (n + 1) + r)
     inner = sum(
-        weight(k, r, j) * ((n - j + 1) * _memo(seq, k * (n - j + 1) + r))
+        weights[j] * ((n - j + 1) * _memo(seq, k * (n - j + 1) + r))
         for j in range(n + 1)
     )
     outer = _memo(seq, k - r)
-    if _subtract_form(seq.key, k, r):
+    if subtract:
         return outer * (edge - inner)
     return outer * (-edge + inner)
 

@@ -1,12 +1,13 @@
 """Rational generating functions of the strided subsequences S(k*n + r) and
-their exact power-series expansion."""
+their exact power-series expansion.  One formula in the Lucas parameters
+(P, Q) of the family serves every U(P, Q) and V(P, Q)/s family."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
 
-from .sequences import LUCAS, LUCAS_BALANCING, Sequence, term
+from .sequences import Sequence, _lucas_type, _lucas_u, term
 
 
 class RationalGF(namedtuple("RationalGF", "numer denom")):
@@ -44,30 +45,18 @@ def _poly_str(coeffs: tuple[int, ...]) -> str:
 def gf(seq: Sequence, k: int, r: int) -> RationalGF:
     """Closed-form generating function of n |-> term(seq, k*n + r), k > r >= 0.
 
-    Balancing-type families share the denominator 1 - 2*C(k)*t + t^2; the
-    Fibonacci/Lucas pair uses 1 - L(k)*t + (-1)^k t^2 with sign-twisted
-    numerators.
+    For a family of Lucas parameters (P, Q) the strided subsequence obeys
+    x(n) = V(k) x(n-1) - Q^k x(n-2), so the denominator is 1 - V(k) t + Q^k t^2
+    and the numerator is S(r) + x(1) - V(k) x(0) = S(r) +- Q^r S(k-r) t, with
+    + for U-type families and - for V-type ones.
     """
     if not k > r >= 0:
         raise ValueError(f"need k > r >= 0, got k={k}, r={r}")
-    if seq.key == "balancing":
-        ck = term(LUCAS_BALANCING, k)
-        return RationalGF((term(seq, r), term(seq, k - r)), (1, -2 * ck, 1))
-    if seq.key == "lucas-balancing":
-        return RationalGF((term(seq, r), -term(seq, k - r)), (1, -2 * term(seq, k), 1))
-    if seq.key in ("fibonacci", "lucas"):
-        # The strided subsequence obeys x(n) = L(k) x(n-1) - (-1)^k x(n-2);
-        # the degree-one numerator coefficient is x(1) - L(k) x(0), which is
-        # +(-1)^r F(k-r) for Fibonacci but -(-1)^r L(k-r) for Lucas.
-        lk = term(LUCAS, k)
-        sign = -1 if r % 2 else 1
-        if seq.key == "lucas":
-            sign = -sign
-        return RationalGF(
-            (term(seq, r), sign * term(seq, k - r)),
-            (1, -lk, -1 if k % 2 else 1),
-        )
-    raise ValueError(f"no generating function catalog for {seq}")
+    p, q, kind = _lucas_type(seq)
+    u, u1 = _lucas_u(p, q, k)
+    sign = 1 if kind == "U" else -1
+    return RationalGF((term(seq, r), sign * q ** r * term(seq, k - r)),
+                      (1, -(2 * u1 - p * u), q ** k))
 
 
 def expand(g: RationalGF, count: int) -> list[int]:

@@ -69,6 +69,23 @@ def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, i
     return u, u1
 
 
+def _lucas_type(seq: Sequence) -> tuple[int, int, str]:
+    """(P, Q, kind) of a family that is U(P, Q) itself (kind "U", seeds 0, 1)
+    or V(P, Q)/s with s = 2/S(0) (kind "V"), where Q = -add is +-1 and
+    D = P^2 - 4Q is positive and not a square."""
+    p, q = seq.mult, -seq.add
+    if (seq.seed0, seq.seed1) == (0, 1):
+        kind = "U"
+    elif seq.seed0 in (1, 2) and 2 * seq.seed1 == p * seq.seed0:
+        kind = "V"
+    else:
+        raise ValueError(f"{seq} is neither U(P, Q) nor V(P, Q)/s")
+    disc = p * p - 4 * q
+    if q not in (1, -1) or disc <= 0 or isqrt(disc) ** 2 == disc:
+        raise ValueError(f"{seq} needs Q = +-1 and a positive non-square P^2 - 4Q")
+    return p, q, kind
+
+
 def term(seq: Sequence, n: int) -> int:
     """Exact term of `seq` at index n.
 

@@ -109,62 +109,26 @@ def _require_valid_n(spec: TailSpec, n: int) -> None:
 
 # -- closed forms -------------------------------------------------------------
 #
-# X = the positive backbone of each formula; even n floors the positive tail,
-# odd n the negative one.  Offsets follow the certified sweep of this module:
-# three C formulas (consec_prod, oddprod, evenprod) differ by small constants
-# from the naive square/product analogy, and the table records the values the
+# Each alternating shape of B and C floors to x + e for even n (the positive
+# tail) and -(x + o) for odd n, where x is the shape's positive backbone below.
+# (e, o) is (0, 1) for B and (-1, 0) for C; the exceptions, which differ from
+# the naive square/product analogy by small constants, record the values the
 # rigorous bracketer reproduces exactly.
 
-def _closed_B(shape: str, S, n: int, l: int) -> int:
-    even = n % 2 == 0
-    if shape == "plain":
-        return S(l * n) - S(l * (n - 1)) - 1
-    X = {
-        "alt": lambda: S(n) + S(n - 1),
-        "alt_sq": lambda: S(n) ** 2 + S(n - 1) ** 2,
-        "alt_even_idx": lambda: S(2 * n) + S(2 * n - 2),
-        "alt_odd_idx": lambda: S(2 * n + 1) + S(2 * n - 1),
-        "alt_consec_prod": lambda: S(n) * S(n + 1) + S(n - 1) * S(n),
-        "alt_even_sq": lambda: S(2 * n) ** 2 + S(2 * n - 2) ** 2,
-        "alt_odd_sq": lambda: S(2 * n - 1) ** 2 + S(2 * n - 3) ** 2,
-    }.get(shape)
-    if X is not None:
-        x = X()
-        return x if even else -(x + 1)
-    if shape == "alt_oddprod":
-        x = S(2 * n) ** 2 + S(2 * n - 2) ** 2
-    elif shape == "alt_evenprod":
-        x = S(2 * n + 1) ** 2 + S(2 * n - 1) ** 2
-    else:
-        raise ValueError(shape)
-    return x - 1 if even else -x
-
-
-def _closed_C(shape: str, S, n: int, l: int) -> int:
-    even = n % 2 == 0
-    if shape == "plain":
-        return S(l * n) - S(l * (n - 1))
-    X = {
-        "alt": lambda: S(n) + S(n - 1),
-        "alt_sq": lambda: S(n) ** 2 + S(n - 1) ** 2,
-        "alt_even_idx": lambda: S(2 * n) + S(2 * n - 2),
-        "alt_odd_idx": lambda: S(2 * n + 1) + S(2 * n - 1),
-        "alt_even_sq": lambda: S(2 * n) ** 2 + S(2 * n - 2) ** 2,
-        "alt_odd_sq": lambda: S(2 * n - 1) ** 2 + S(2 * n - 3) ** 2,
-    }.get(shape)
-    if X is not None:
-        x = X()
-        return x - 1 if even else -x
-    if shape == "alt_consec_prod":
-        x = S(n) * S(n + 1) + S(n - 1) * S(n)
-        return x - 2 if even else -(x - 1)
-    if shape == "alt_oddprod":
-        x = S(2 * n) ** 2 + S(2 * n - 2) ** 2
-    elif shape == "alt_evenprod":
-        x = S(2 * n + 1) ** 2 + S(2 * n - 1) ** 2
-    else:
-        raise ValueError(shape)
-    return x + 7 if even else -(x + 8)
+_BACKBONES: dict[str, Callable] = {
+    "alt": lambda S, n: S(n) + S(n - 1),
+    "alt_sq": lambda S, n: S(n) ** 2 + S(n - 1) ** 2,
+    "alt_even_idx": lambda S, n: S(2 * n) + S(2 * n - 2),
+    "alt_odd_idx": lambda S, n: S(2 * n + 1) + S(2 * n - 1),
+    "alt_consec_prod": lambda S, n: S(n) * S(n + 1) + S(n - 1) * S(n),
+    "alt_even_sq": lambda S, n: S(2 * n) ** 2 + S(2 * n - 2) ** 2,
+    "alt_odd_sq": lambda S, n: S(2 * n - 1) ** 2 + S(2 * n - 3) ** 2,
+    "alt_oddprod": lambda S, n: S(2 * n) ** 2 + S(2 * n - 2) ** 2,
+    "alt_evenprod": lambda S, n: S(2 * n + 1) ** 2 + S(2 * n - 1) ** 2,
+}
+_OFFSETS = {"B": (0, 1), "C": (-1, 0), ("B", "alt_oddprod"): (-1, 0),
+            ("B", "alt_evenprod"): (-1, 0), ("C", "alt_consec_prod"): (-2, -1),
+            ("C", "alt_oddprod"): (7, 8), ("C", "alt_evenprod"): (7, 8)}
 
 
 def _closed_G(shape: str, S, n: int, a: int) -> int:
@@ -184,11 +148,13 @@ def closed_floor(spec: TailSpec, n: int) -> int:
     """Closed-form value of floor(1 / tail(spec, n)); floor is toward -infinity."""
     _require_valid_n(spec, n)
     S = partial(_memo, spec.sequence())
-    if spec.family == "B":
-        return _closed_B(spec.shape, S, n, spec.l)
-    if spec.family == "C":
-        return _closed_C(spec.shape, S, n, spec.l)
-    return _closed_G(spec.shape, S, n, spec.a)
+    if spec.family == "G":
+        return _closed_G(spec.shape, S, n, spec.a)
+    if spec.shape == "plain":
+        return S(spec.l * n) - S(spec.l * (n - 1)) - (1 if spec.family == "B" else 0)
+    x = _BACKBONES[spec.shape](S, n)
+    e, o = _OFFSETS.get((spec.family, spec.shape), _OFFSETS[spec.family])
+    return x + e if n % 2 == 0 else -(x + o)
 
 
 # -- summand evaluation --------------------------------------------------------

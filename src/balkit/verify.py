@@ -133,14 +133,18 @@ def plan() -> list[tuple]:
 
 
 def run(cases, deadline: float = float("inf"), clock=time.perf_counter) -> tuple:
-    """Run cases until they run out or clock() passes the deadline.  Returns
+    """Run cases until they run out or clock() passes the deadline, which is
+    read before each case is pulled, so a unit past it never starts.  Returns
     (checked, failed, witness, skipped): witness is the first failure's label,
     params and lhs/rhs, or the message of the ArithmeticError it raised."""
     checked = failed = 0
     witness = None
-    for label, check, args in cases:
-        if clock() > deadline:
-            return checked, failed, witness, True
+    cases = iter(cases)
+    while clock() <= deadline:
+        case = next(cases, None)
+        if case is None:
+            return checked, failed, witness, False
+        label, check, args = case
         checked += 1
         try:
             verdict = check(*args)
@@ -155,4 +159,4 @@ def run(cases, deadline: float = float("inf"), clock=time.perf_counter) -> tuple
         if witness is None:
             witness = {"label": f"{label} {equality}".rstrip(), **found,
                        "params": [a if isinstance(a, int) else str(a) for a in args]}
-    return checked, failed, witness, False
+    return checked, failed, witness, True

@@ -177,6 +177,17 @@ def test_verify_all_budget_stops_inside_a_unit(capsys, monkeypatch):
     assert json.loads(out)["summary"] == {"checked": 100, "passed": 100, "failed": 0}
 
 
+def test_verify_run_starts_no_case_past_the_deadline():
+    # A unit's setup runs when its first case is pulled, so a spent budget must not pull one.
+    from balkit import verify
+
+    def unit():
+        raise AssertionError("unit started past the deadline")
+        yield
+
+    assert verify.run(unit(), 0.0, clock=lambda: 1.0) == (0, 0, None, True)
+
+
 @pytest.mark.parametrize("fault", ["cancellation", "wrong value"])
 def test_verify_all_failure_reports_witness(tmp_path, capsys, monkeypatch, fault):
     from balkit import convolutions
@@ -294,26 +305,42 @@ def test_cli_import_skips_pool_and_dataclasses():
     assert heavy.isdisjoint(out)
 
 
-def test_cancellation_failure_exit_1(capsys, monkeypatch):
+def test_cancellation_failure_exit_1(tmp_path, capsys, monkeypatch):
     from balkit import convolutions
     from balkit.quadfield import QuadRat
 
     monkeypatch.setattr(convolutions, "closed_form_raw", lambda *a: QuadRat.of(1, 1, 2))
-    code, out, err = run(capsys, "conv", "B", "--k", "2", "--r", "1", "--n", "3")
-    assert code == 1
-    assert err.startswith("error: ") and "residue" in err
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "conv", "B", "--k", "2", "--r", "1", "--n", "3",
+                         "--format", "json", "--output", str(path))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert path.read_text(encoding="utf-8") == out
+    assert report["summary"] == {"checked": 1, "passed": 0, "failed": 1}
+    [item] = report["items"]
+    assert item["brute"] == str(convolutions.brute_conv(convolutions.BALANCING, 2, 1, 3))
+    assert "closed" not in item and "ok" not in item
+    assert "residue" in item["error"]
 
 
-def test_expand_arithmetic_failure_exit_1(capsys, monkeypatch):
+def test_expand_arithmetic_failure_exit_1(tmp_path, capsys, monkeypatch):
     from balkit import genfunc
 
     def broken(g, count):
         raise ArithmeticError("non-integer series coefficient at t^0: 1/2")
 
     monkeypatch.setattr(genfunc, "expand", broken)
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "gf", "B", "--k", "1", "--r", "0", "--terms", "5",
+                         "--format", "json", "--output", str(path))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert path.read_text(encoding="utf-8") == out
+    assert report["summary"] == {"checked": 1, "passed": 0, "failed": 1}
+    assert report["items"] == [{"error": "non-integer series coefficient at t^0: 1/2"}]
     code, out, err = run(capsys, "gf", "B", "--k", "1", "--r", "0", "--terms", "5")
-    assert code == 1
-    assert err == "error: non-integer series coefficient at t^0: 1/2\n"
+    assert code == 1 and err == ""
+    assert "error: non-integer series coefficient at t^0: 1/2" in out.splitlines()
 
 
 def test_json_report_rendered_once(tmp_path, capsys, monkeypatch):
@@ -342,6 +369,20 @@ GOLDEN_REPORTS = [
      "0ff4034ebd1bb3d531315facf9eef04def1ab9e350a0bf5eb66fba8dee127616"),
     (("tailfloor", "alt-even-sq-C", "--n", "200"),
      "e0b6e985fdba0caf4db8c5662c14ab829a7c82b089041db77ca4fc93ef487ebb"),
+    (("gf", "B", "--k", "3", "--r", "1", "--terms", "30"),
+     "ae0682b1d730e67acf13da3d968b7a60c8b4c3a96373d3f4ef27aa4901e79f9f"),
+    (("gf", "C", "--k", "4", "--r", "1", "--terms", "30"),
+     "3e13557dbf5315aa5982f96c8c2fceec8da98f5a222ac9663f755fd61353dc78"),
+    (("gf", "F", "--k", "5", "--r", "2", "--terms", "30"),
+     "51ba7eba6b395596e3387bb96a1615d86ffc5c78bb2ee1fd69f1b8b1a711a7bb"),
+    (("gf", "L", "--k", "3", "--r", "2", "--terms", "30"),
+     "f5a0d2bc89e56960a376289a1e3f7ee6f8548b91c7f453786a6ededfd695b23f"),
+    (("tailfloor", "alt-evenprod-C", "--n", "60"),
+     "720a89369c1d8e1443da60da3d321e8db478ed32b2cdbc4ef52d770390fcdedb"),
+    (("tailfloor", "alt-consec-prod-C", "--n", "61"),
+     "b29e345272b586f9d17638610cff4592bd3a8d624e3fbcc757d9d3ca6036270e"),
+    (("tailfloor", "plain-B", "--n", "40", "--l", "3"),
+     "316fdb16413e82b6bff4975725087831bed3b2588098bf3792c11ba15febc782"),
 ]
 
 

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import balkit
 from balkit import (
@@ -19,10 +21,12 @@ from balkit import (
     LUCAS_BALANCING,
     GaussQuad,
     QuadRat,
+    Sequence,
     brute_conv,
     closed_form_raw,
     conv_balancing_r0,
     conv_closed,
+    gen_fibonacci,
 )
 
 FAMILIES = (BALANCING, LUCAS_BALANCING, FIBONACCI, LUCAS)
@@ -157,7 +161,17 @@ def test_parameter_errors():
         conv_balancing_r0(0, 3)
     with pytest.raises(ValueError):
         conv_balancing_r0(2, -1)
-    from balkit import gen_fibonacci
+    # Neither U(P, Q) nor V(P, Q)/s, and Q = 2: no closed form.
+    for seq in (Sequence("x", 3, 1, 5, 7), Sequence("q2", 3, -2, 0, 1)):
+        with pytest.raises(ValueError):
+            conv_closed(seq, 2, 1, 3)
 
-    with pytest.raises(ValueError):
-        conv_closed(gen_fibonacci(2), 1, 0, 1)
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 8), st.integers(1, 5).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(0, k - 1))), st.integers(0, 30))
+def test_gen_fibonacci_closed_form_matches_oracle(a, kr, n):
+    # G = U(a, -1) takes the Fibonacci weight over the squarefree part of a^2 + 4.
+    k, r = kr
+    seq = gen_fibonacci(a)
+    assert conv_closed(seq, k, r, n) == oracle_conv(seq, k, r, n)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balkit import (
     BALANCING,
@@ -12,6 +14,7 @@ from balkit import (
     LUCAS,
     LUCAS_BALANCING,
     RationalGF,
+    Sequence,
     brute_conv,
     expand,
     gen_fibonacci,
@@ -61,6 +64,15 @@ def test_coefficients_match_terms_all_families():
                 assert got == [term(family, k * i + r) for i in range(30)], (family.key, k, r)
 
 
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 8), st.integers(1, 5).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(0, k - 1))))
+def test_gen_fibonacci_gf_expansion_matches_terms(a, kr):
+    k, r = kr
+    seq = gen_fibonacci(a)
+    assert expand(gf(seq, k, r), 40) == [term(seq, k * i + r) for i in range(40)]
+
+
 def test_squared_gf_matches_brute_convolution():
     for family in FAMILIES:
         for k, r in ((1, 0), (2, 0), (2, 1), (3, 2)):
@@ -87,8 +99,9 @@ def test_parameter_errors():
         gf(BALANCING, 1, 1)
     with pytest.raises(ValueError):
         gf(BALANCING, 0, 0)
-    with pytest.raises(ValueError):
-        gf(gen_fibonacci(2), 2, 0)
+    for seq in (Sequence("x", 3, 1, 5, 7), Sequence("q2", 3, -2, 0, 1)):
+        with pytest.raises(ValueError):
+            gf(seq, 2, 0)
     with pytest.raises(ValueError):
         RationalGF((1,), (0, 1))
     with pytest.raises(ValueError):
