@@ -245,10 +245,11 @@ def cmd_tailfloor(args) -> int:
             item["ok"] = item["closed"] == item["verified"]
             failed = 0 if item["ok"] else 1
             lines.append("match" if item["ok"] else "MISMATCH")
-    except tails.UndecidedIntervalError as exc:
-        item["undecided"] = str(exc)
+    except ArithmeticError as exc:
+        key = "undecided" if isinstance(exc, tails.UndecidedIntervalError) else "error"
+        item[key] = str(exc)
         failed = 1
-        lines.append(f"undecided: {exc}")
+        lines.append(f"{key}: {exc}")
     report = _report("tailfloor", {"spec": args.spec, "mode": args.mode}, [item], failed, t0)
     _emit(report, args, lines)
     return 1 if failed else 0

@@ -2,12 +2,12 @@
 
 brute_conv sums the n+1 products directly.  The closed forms rewrite the sum
 through the derivative of the subsequence generating function.  Every family
-is a Lucas sequence U(P, Q) or V(P, Q)/s with Q = +-1, and one weight formula
-in (P, Q) serves them all: conjugate-pair expressions over Q(sqrt d)(i),
-Q(sqrt d) or plain rationals, d the squarefree part of D = P^2 - 4Q, whose
-irrational and imaginary parts must cancel identically.
-Both conjugate powers are computed independently (no conjugation shortcut), so
-the final certified extraction doubles as a self-check of the whole evaluation.
+is a Lucas sequence U(P, Q) or V(P, Q)/s with Q = +-1, and one formula in
+(P, Q) serves them all: a sum weighted by two conjugate geometric series over
+Q(sqrt d)(i), Q(sqrt d) or plain rationals, d the squarefree part of
+D = P^2 - 4Q, whose irrational and imaginary parts must cancel identically.
+The two conjugate ratios are computed independently (no conjugation shortcut),
+so the final certified extraction doubles as a self-check of the evaluation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .quadfield import GaussQuad, QuadRat, _parts, certified_int
+from .quadfield import GaussQuad, QuadRat, certified_int
 from .sequences import BALANCING, Sequence, _lucas_type, _lucas_u, _memo
 
 
@@ -34,47 +34,23 @@ def brute_conv(seq: Sequence, k: int, r: int, n: int) -> int:
     return sum(sub[m] * sub[n - m] for m in range(n + 1))
 
 
-# -- inner weights -----------------------------------------------------------
+# -- inner sums --------------------------------------------------------------
 #
-# Weight w(j) multiplies (n - j + 1) * term(k*(n-j+1) + r) inside each closed
-# form; it depends on (family, k, r, j) only, so each (family, k, r) keeps one
-# row of weights, and powers of the conjugate bases are built incrementally and
-# shared across every n of a sweep.
-
-
-def _pow(base, j: int):
-    """base**j for any integer j, one cached step from base**(j -+ 1).  Equal
-    values from different fields hash alike (Fraction(1) == GaussQuad.of(1, 0, 5)),
-    so the key holds the type and radicand too, or call order picks the field.
-    The key is plain integers, so a lookup hashes no Fraction."""
-    numerators, denominator = _parts(base)
-    return _field_pow((type(base), getattr(base, "d", None), numerators, denominator), base, j)
-
-
-_POWERS: dict = {}
-
-
-def _field_pow(key: tuple, base, j: int):
-    power = _POWERS.get((key, j))
-    if power is None:
-        if -1 <= j <= 1:
-            power = base ** j
-        else:
-            step = 1 if j > 0 else -1
-            power = _field_pow(key, base, j - step) * _field_pow(key, base, step)
-        _POWERS[key, j] = power
-    return power
+# inner(n) = sum over j = 0..n of w(j) * g(n + 1 - j), g(m) = m * term(k*m + r),
+# with w(j) = A*l1^j + B*l2^j, is A*h1(n) + B*h2(n) for the running sums
+# h_i(n) = l_i * h_i(n - 1) + g(n + 1), h_i(-1) = 0.  Each (family, k, r) keeps
+# its sums and extends them as n grows, so a row up to n costs O(n).
 
 
 @lru_cache(maxsize=None)
 def _row(seq: Sequence, k: int, r: int) -> tuple:
-    """(subtract, half, plus, minus, rot, weights) of one family, k and r.
+    """(subtract, A, l1, B, l2, sums) of one family, k and r.
 
     With a = U(k) for U-type families and a = sqrt(D) U(k)/s for V-type ones,
-    w(j) = a/2 * rot^j * ((-1)^j plus^(-j-1) + minus^(-j-1)) over the bases
-    a +- S(r) and rot = +-Q^r S(k-r) (+ for U-type, - for V-type).  Where the
-    weighted sum is subtracted (Q^(k-r) = -1 for U-type, +1 for V-type), S(r)
-    and rot carry a factor i.  closed_form_raw extends the weights as n grows.
+    the bases plus, minus = a +- S(r) and rot = +-Q^r S(k-r) (+ for U-type,
+    - for V-type): A = a/2/plus, l1 = -rot/plus, B = a/2/minus, l2 = rot/minus.
+    Where the weighted sum is subtracted (Q^(k-r) = -1 for U-type, +1 for
+    V-type), S(r) and rot carry a factor i.  sums[n + 1] is (h1(n), h2(n)).
     """
     p, q, kind = _lucas_type(seq)
     disc = p * p - 4 * q
@@ -87,21 +63,22 @@ def _row(seq: Sequence, k: int, r: int) -> tuple:
     rot = Fraction(sign * q ** r * skr)
     if subtract:
         sr, rot = GaussQuad.of(0, sr, d), GaussQuad.of(0, rot, d)
-    return subtract, a / 2, a + sr, a - sr, rot, []
+    half, plus, minus = a / 2, a + sr, a - sr
+    return subtract, half / plus, -rot / plus, half / minus, rot / minus, [(0, 0)]
 
 
 def closed_form_raw(seq: Sequence, k: int, r: int, n: int):
     """The closed-form total before rationality extraction: a Fraction,
     QuadRat, or GaussQuad whose irrational parts must vanish identically."""
     _validate(k, r, n)
-    subtract, half, plus, minus, rot, weights = _row(seq, k, r)
-    for j in range(len(weights), n + 1):
-        weights.append(_pow(rot, j) * half * ((-1) ** j * _pow(plus, -j - 1) + _pow(minus, -j - 1)))
+    subtract, a1, l1, a2, l2, sums = _row(seq, k, r)
+    for m in range(len(sums), n + 2):
+        g = m * _memo(seq, k * m + r)
+        h1, h2 = sums[-1]
+        sums.append((l1 * h1 + g, l2 * h2 + g))
+    h1, h2 = sums[n + 1]
     edge = (n + 1) * _memo(seq, k * (n + 1) + r)
-    inner = sum(
-        weights[j] * ((n - j + 1) * _memo(seq, k * (n - j + 1) + r))
-        for j in range(n + 1)
-    )
+    inner = a1 * h1 + a2 * h2
     outer = _memo(seq, k - r)
     if subtract:
         return outer * (edge - inner)

@@ -343,6 +343,32 @@ def test_expand_arithmetic_failure_exit_1(tmp_path, capsys, monkeypatch):
     assert "error: non-integer series coefficient at t^0: 1/2" in out.splitlines()
 
 
+@pytest.mark.parametrize("key", ["error", "undecided"])
+def test_tailfloor_arithmetic_failure_exit_1(key, tmp_path, capsys, monkeypatch):
+    from balkit import tailfloors
+
+    def broken(spec, n, **kwargs):
+        if key == "undecided":
+            raise tailfloors.UndecidedIntervalError("budget of 64 terms exhausted")
+        raise ArithmeticError("inconsistent enclosures")
+
+    monkeypatch.setattr(tailfloors, "certify_floor", broken)
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "tailfloor", "alt-B", "--n", "3",
+                         "--format", "json", "--output", str(path))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert path.read_text(encoding="utf-8") == out
+    assert report["summary"] == {"checked": 1, "passed": 0, "failed": 1}
+    [item] = report["items"]
+    message = item.pop(key)
+    assert item["closed"] == str(tailfloors.closed_floor(tailfloors.TailSpec("B", "alt"), 3))
+    assert not {"verified", "ok", "error", "undecided"} & set(item)
+    code, out, err = run(capsys, "tailfloor", "alt-B", "--n", "3")
+    assert code == 1 and err == ""
+    assert f"{key}: {message}" in out.splitlines()
+
+
 def test_json_report_rendered_once(tmp_path, capsys, monkeypatch):
     from balkit import cli
 

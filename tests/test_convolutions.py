@@ -28,6 +28,7 @@ from balkit import (
     conv_closed,
     gen_fibonacci,
 )
+from balkit.convolutions import _row
 
 FAMILIES = (BALANCING, LUCAS_BALANCING, FIBONACCI, LUCAS)
 
@@ -134,9 +135,11 @@ def test_parity_dispatch():
 
 
 def test_raw_type_independent_of_call_order():
-    # Fraction(1) == GaussQuad.of(1, 0, 5) and both hash alike, so a power cache
-    # keyed by value alone hands the Fibonacci form's GaussQuad powers to the
-    # balancing form.  A fresh interpreter makes the order below the first one.
+    # The field of a raw closed form depends on its family, k and r alone, never
+    # on which rows were evaluated before.  Fraction(1) == GaussQuad.of(1, 0, 5)
+    # and both hash alike, so any state shared across rows and keyed by value
+    # would let a Fibonacci row change a balancing one.  A fresh interpreter
+    # makes the order below the first one.
     code = (
         "from fractions import Fraction\n"
         "from balkit import BALANCING, FIBONACCI, closed_form_raw\n"
@@ -175,3 +178,27 @@ def test_gen_fibonacci_closed_form_matches_oracle(a, kr, n):
     k, r = kr
     seq = gen_fibonacci(a)
     assert conv_closed(seq, k, r, n) == oracle_conv(seq, k, r, n)
+
+
+@pytest.mark.parametrize("seq", FAMILIES + (gen_fibonacci(2),), ids=lambda s: s.key)
+def test_closed_matches_oracle_at_large_n(seq):
+    # Both parities of k - r: the Fibonacci-like rows change field between them.
+    for k, r in ((3, 1), (4, 1)):
+        assert conv_closed(seq, k, r, 400) == oracle_conv(seq, k, r, 400), (k, r)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from(FAMILIES + (gen_fibonacci(2),)), st.integers(1, 5).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(0, k - 1))),
+    st.lists(st.integers(0, 40), min_size=1, max_size=60))
+def test_row_queried_in_any_order(seq, kr, ns):
+    # A row's running sums are extended on demand: any query order, repeats
+    # included, gives the value and the field of a fresh ascending pass.
+    k, r = kr
+    _row.cache_clear()
+    raws = [(n, closed_form_raw(seq, k, r, n)) for n in ns]
+    _row.cache_clear()
+    ascending = [closed_form_raw(seq, k, r, n) for n in range(max(ns) + 1)]
+    for n, raw in raws:
+        assert raw == oracle_conv(seq, k, r, n), n
+        assert type(raw) is type(ascending[n]), n
