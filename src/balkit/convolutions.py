@@ -39,18 +39,20 @@ def brute_conv(seq: Sequence, k: int, r: int, n: int) -> int:
 # inner(n) = sum over j = 0..n of w(j) * g(n + 1 - j), g(m) = m * term(k*m + r),
 # with w(j) = A*l1^j + B*l2^j, is A*h1(n) + B*h2(n) for the running sums
 # h_i(n) = l_i * h_i(n - 1) + g(n + 1), h_i(-1) = 0.  Each (family, k, r) keeps
-# its sums and extends them as n grows, so a row up to n costs O(n).
+# its latest sums and extends them as n grows, so a row up to n costs O(n) time
+# and holds one pair; an earlier n restarts the row from h_i(-1).
 
 
 @lru_cache(maxsize=None)
 def _row(seq: Sequence, k: int, r: int) -> tuple:
-    """(subtract, A, l1, B, l2, sums) of one family, k and r.
+    """(subtract, A, l1, B, l2, last) of one family, k and r.
 
     With a = U(k) for U-type families and a = sqrt(D) U(k)/s for V-type ones,
     the bases plus, minus = a +- S(r) and rot = +-Q^r S(k-r) (+ for U-type,
     - for V-type): A = a/2/plus, l1 = -rot/plus, B = a/2/minus, l2 = rot/minus.
     Where the weighted sum is subtracted (Q^(k-r) = -1 for U-type, +1 for
-    V-type), S(r) and rot carry a factor i.  sums[n + 1] is (h1(n), h2(n)).
+    V-type), S(r) and rot carry a factor i.  last is [n + 1, h1(n), h2(n)]
+    for the latest n evaluated.
     """
     p, q, kind = _lucas_type(seq)
     disc = p * p - 4 * q
@@ -64,19 +66,19 @@ def _row(seq: Sequence, k: int, r: int) -> tuple:
     if subtract:
         sr, rot = GaussQuad.of(0, sr, d), GaussQuad.of(0, rot, d)
     half, plus, minus = a / 2, a + sr, a - sr
-    return subtract, half / plus, -rot / plus, half / minus, rot / minus, [(0, 0)]
+    return subtract, half / plus, -rot / plus, half / minus, rot / minus, [0, 0, 0]
 
 
 def closed_form_raw(seq: Sequence, k: int, r: int, n: int):
     """The closed-form total before rationality extraction: a Fraction,
     QuadRat, or GaussQuad whose irrational parts must vanish identically."""
     _validate(k, r, n)
-    subtract, a1, l1, a2, l2, sums = _row(seq, k, r)
-    for m in range(len(sums), n + 2):
+    subtract, a1, l1, a2, l2, last = _row(seq, k, r)
+    m, h1, h2 = last if last[0] <= n + 1 else (0, 0, 0)
+    for m in range(m + 1, n + 2):
         g = m * _memo(seq, k * m + r)
-        h1, h2 = sums[-1]
-        sums.append((l1 * h1 + g, l2 * h2 + g))
-    h1, h2 = sums[n + 1]
+        h1, h2 = l1 * h1 + g, l2 * h2 + g
+    last[:] = n + 1, h1, h2
     edge = (n + 1) * _memo(seq, k * (n + 1) + r)
     inner = a1 * h1 + a2 * h2
     outer = _memo(seq, k - r)

@@ -65,18 +65,16 @@ def expand(g: RationalGF, count: int) -> list[int]:
     Each coefficient is certified to be an integer."""
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    d0 = Fraction(g.denom[0])
+    d0 = g.denom[0]
     coeffs: list[int] = []
-    exact: list[Fraction] = []
     for n in range(count):
-        acc = Fraction(g.numer[n]) if n < len(g.numer) else Fraction(0)
+        acc = g.numer[n] if n < len(g.numer) else 0
         for i in range(1, min(n, len(g.denom) - 1) + 1):
-            acc -= g.denom[i] * exact[n - i]
-        c = acc / d0
-        if c.denominator != 1:
-            raise ArithmeticError(f"non-integer series coefficient at t^{n}: {c}")
-        exact.append(c)
-        coeffs.append(int(c))
+            acc -= g.denom[i] * coeffs[n - i]
+        c, rem = divmod(acc, d0)
+        if rem:
+            raise ArithmeticError(f"non-integer series coefficient at t^{n}: {Fraction(acc, d0)}")
+        coeffs.append(c)
     return coeffs
 
 

@@ -7,18 +7,23 @@ the known closed form for floor(1 / tail); verified_floor certifies the same
 integer from scratch by enclosing the tail in exact rational intervals and
 tightening until the reciprocal floor is pinned down, never guessing.
 
-Two enclosures are provided.  bracket_tail is the textbook one: consecutive
-partial sums for alternating series, partial sum plus a geometric majorant
-for positive ones.  The certification path uses refined_bracket, which
-bounds the omitted remainder through a two-sided ratio interval: with
-r(m) = S(m+1)/S(m), the cross identity S(m-1)S(m+1) - S(m)^2 = kappa(m)
-gives r(m) - r(m-1) = kappa(m)/(S(m-1)S(m)), so for every m >= M the ratio
-stays within s(M) = |kappa| / (S(M)S(M+1)) / (1 - g) of r(M), where g bounds
-S(m-1)/S(m+1).  That pins consecutive remainder-term ratios inside an
-interval [u_lo, u_hi] and the remainder inside exact geometric bounds whose
-width shrinks like the square of the term size - tight enough to separate
-every floor within a handful of terms even when the true reciprocal hugs an
-integer boundary.
+Two enclosures are provided.  bracket_tail is the textbook one, kept in
+Fractions as the reference: consecutive partial sums for alternating series,
+partial sum plus a geometric majorant for positive ones.  The certification
+path uses refined_bracket, which bounds the omitted remainder through a
+two-sided ratio interval: with r(m) = S(m+1)/S(m), the cross identity
+S(m-1)S(m+1) - S(m)^2 = kappa(m) gives r(m) - r(m-1) = kappa(m)/(S(m-1)S(m)),
+so for every m >= M the ratio stays within s(M) = |kappa| / (S(M)S(M+1)) / (1 - g)
+of r(M), where g bounds S(m-1)/S(m+1).  That pins consecutive remainder-term
+ratios inside an interval [u_lo, u_hi] and the remainder inside exact
+geometric bounds whose width shrinks like the square of the term size - tight
+enough to separate every floor within a handful of terms even when the true
+reciprocal hugs an integer boundary.
+
+The certificate runs on unreduced integer numerator/denominator pairs, each
+bound over a closed product of sequence values and the ratio interval's
+integer ends: certify_floor takes no gcd and builds no Fraction, and
+refined_bracket and CertifiedFloor.interval reduce to Fractions when read.
 """
 
 from __future__ import annotations
@@ -157,37 +162,18 @@ def closed_floor(spec: TailSpec, n: int) -> int:
     return x + e if n % 2 == 0 else -(x + o)
 
 
-# -- summand evaluation --------------------------------------------------------
+# -- enclosures ----------------------------------------------------------------
 
-def _summands(spec: TailSpec, n: int, count: int) -> tuple[list[Fraction], Callable[[int], int]]:
-    """First `count` signed summands starting at k = n, plus the term lookup."""
-    S = partial(_memo, spec.sequence())
-    idx = SHAPES[spec.shape].indices
-    alt = SHAPES[spec.shape].alternating
-    out = []
-    for k in range(n, n + count):
-        den = 1
-        for i in idx(k, spec.l):
-            den *= S(i)
-        t = Fraction(1, den)
-        out.append(-t if alt and k % 2 else t)
-    return out, S
-
-
-def _growth_ratio(spec: TailSpec) -> Fraction:
-    """Per-summand-step geometric growth lower bound for the positive shapes.
-
-    B and C terms at least quintuple per index step (from index 1 resp. 2 on);
-    G terms satisfy G(m+1)(a+1) >= (a^2+a+1) G(m) for m >= 2, since
-    G(m) <= (a+1) G(m-1) there.  The shape's index map advances the base index
-    by a fixed step count per summand, so the bound is a fixed power.
+def _growth(spec: TailSpec) -> tuple[int, int, int]:
+    """(num, den, steps): num/den bounds S(m+1)/S(m) below, and the shape's
+    factors advance `steps` indices per summand, so (num/den)^steps bounds
+    the summand ratio.  B and C terms at least quintuple per index step (from
+    index 1 resp. 2 on); G terms satisfy G(m+1)(a+1) >= (a^2+a+1) G(m) for
+    m >= 2, since G(m) <= (a+1) G(m-1) there.
     """
-    idx = SHAPES[spec.shape].indices
+    idx, a = SHAPES[spec.shape].indices, spec.a
     steps = sum(idx(11, spec.l)) - sum(idx(10, spec.l))
-    base = Fraction(5) if spec.family in ("B", "C") else Fraction(
-        spec.a * spec.a + spec.a + 1, spec.a + 1
-    )
-    return base ** steps
+    return (5, 1, steps) if spec.family in ("B", "C") else (a * a + a + 1, a + 1, steps)
 
 
 def bracket_tail(spec: TailSpec, n: int, terms: int) -> Interval:
@@ -196,96 +182,106 @@ def bracket_tail(spec: TailSpec, n: int, terms: int) -> Interval:
     Alternating shapes: the limit lies between consecutive partial sums
     (strict magnitude decrease is asserted).  Positive shapes: the partial sum
     bounds below, and the first omitted term times rho/(rho-1) majorizes the
-    remainder for the proven growth bound rho.
+    remainder for the proven growth bound rho.  This is the Fraction reference
+    that the integer enclosure behind refined_bracket is tested against.
     """
     _require_valid_n(spec, n)
     if terms < 1:
         raise ValueError(f"need terms >= 1, got {terms}")
-    ts, _ = _summands(spec, n, terms + 1)
-    if SHAPES[spec.shape].alternating:
+    S, shape = partial(_memo, spec.sequence()), SHAPES[spec.shape]
+    dens = [math.prod(map(S, shape.indices(k, spec.l))) for k in range(n, n + terms + 1)]
+    ts = [Fraction(-1 if shape.alternating and k % 2 else 1, d) for k, d in enumerate(dens, n)]
+    if shape.alternating:
         for prev, cur in zip(ts, ts[1:]):
             if abs(cur) >= abs(prev):
                 raise ArithmeticError(f"summands not strictly decreasing at {spec}, n={n}")
         p_prev = sum(ts[: terms - 1], Fraction(0))
         p_last = p_prev + ts[terms - 1]
         return Interval(min(p_prev, p_last), max(p_prev, p_last))
-    partial = sum(ts[:terms], Fraction(0))
-    rho = _growth_ratio(spec)
-    return Interval(partial, partial + ts[terms] * rho / (rho - 1))
+    num, den, steps = _growth(spec)
+    total = sum(ts[:terms], Fraction(0))
+    return Interval(total, total + ts[terms] * num ** steps / (num ** steps - den ** steps))
 
-
-# -- refined enclosure ---------------------------------------------------------
 
 _CROSS_CONSTANT = {"B": 1, "C": 8, "G": 1}  # |S(m-1)S(m+1) - S(m)^2|
 
 
-def _ratio_interval(spec: TailSpec, S, M: int) -> tuple[Fraction, Fraction]:
-    """Rational [q_lo, q_hi] containing S(m+1)/S(m) for every m >= M.
+def _enclose(spec: TailSpec, n: int, terms: int) -> tuple[int, int, int, int]:
+    """refined_bracket as integers (lo_num, lo_den, hi_num, hi_den), positive
+    denominators.  With s0 = S(M), s1 = S(M+1) and g = gn/gd, S(m+1)/S(m) lies in
+    [A-, A+] / Bq for m >= M, Bq = (gd - gn) s0 s1, A-+ = (gd - gn) s1^2 -+ kappa gd,
+    so consecutive remainder terms have ratio in [Bq^s / A+^s, Bq^s / A-^s]."""
+    _require_valid_n(spec, n)
+    if terms < 1:
+        raise ValueError(f"need terms >= 1, got {terms}")
+    S, shape = partial(_memo, spec.sequence()), SHAPES[spec.shape]
+    idxs = [shape.indices(k, spec.l) for k in range(n, n + terms + 1)]
+    # Summand j is +-nums[j] / D over the common denominator D, each index at
+    # the largest power any one summand has.
+    top = {i: max(ix.count(i) for ix in idxs) for ix in idxs for i in ix}
+    D = math.prod(S(i) ** e for i, e in top.items())
+    nums = [math.prod(S(i) ** (e - ix.count(i)) for i, e in top.items()) for ix in idxs]
+    if shape.alternating and any(cur >= prev for prev, cur in zip(nums, nums[1:])):
+        raise ArithmeticError(f"summands not strictly decreasing at {spec}, n={n}")
+    total = sum(-x if shape.alternating and k % 2 else x for k, x in enumerate(nums[:terms], n))
+    # Remainder magnitude bounds a / (b * D), first the simple bracket's.
+    bn, bd, steps = _growth(spec)
+    rho, rd = bn ** steps, bd ** steps
+    lo, hi = (0, 1), (nums[terms - 1], 1) if shape.alternating else (rho * nums[terms], rho - rd)
+    M = min(idxs[terms])
+    s0, s1, gn, gd = S(M), S(M + 1), bd * bd, bn * bn
+    bq = (gd - gn) * s0 * s1
+    am, ap = ((gd - gn) * s1 * s1 + e * _CROSS_CONSTANT[spec.family] * gd for e in (-1, 1))
+    if am > bq:  # else the ratio interval reaches 1: keep the simple bracket
+        am, ap, bq = am ** steps, ap ** steps, bq ** steps
+        if shape.alternating:
+            # R/mag lies in the nested fixed interval of y -> 1 - u*y.
+            w = am * ap - bq * bq
+            lo, ref = ((am - bq) * ap * nums[terms], w), ((ap - bq) * am * nums[terms], w)
+        else:
+            lo, ref = (ap * nums[terms], ap - bq), (am * nums[terms], am - bq)
+        if ref[0] * hi[1] < hi[0] * ref[1]:
+            hi = ref
+    if not (shape.alternating and (n + terms) % 2):  # the first omitted summand is positive
+        return total * lo[1] + lo[0], D * lo[1], total * hi[1] + hi[0], D * hi[1]
+    return total * hi[1] - hi[0], D * hi[1], total * lo[1] - lo[0], D * lo[1]
 
-    |r(m) - r(M)| <= sum over i > M of |kappa| / (S(i-1)S(i)), and consecutive
-    terms of that sum shrink by at least g = 1/rho^2 per step, so the whole
-    drift is at most |kappa| / (S(M)S(M+1)) / (1 - g).
-    """
-    if spec.family in ("B", "C"):
-        g = Fraction(1, 25)
-    else:
-        rho = Fraction(spec.a * spec.a + spec.a + 1, spec.a + 1)
-        g = 1 / (rho * rho)
-    drift = Fraction(_CROSS_CONSTANT[spec.family], S(M) * S(M + 1)) / (1 - g)
-    r = Fraction(S(M + 1), S(M))
-    return r - drift, r + drift
+
+def _as_interval(ends: tuple[int, int, int, int]) -> Interval:
+    return Interval(Fraction(ends[0], ends[1]), Fraction(ends[2], ends[3]))
 
 
 def refined_bracket(spec: TailSpec, n: int, terms: int) -> Interval:
     """Certification-grade enclosure: partial sum plus two-sided geometric
     remainder bounds from the ratio interval, intersected with bracket_tail."""
-    _require_valid_n(spec, n)
-    if terms < 1:
-        raise ValueError(f"need terms >= 1, got {terms}")
-    ts, S = _summands(spec, n, terms + 1)
-    partial = sum(ts[:terms], Fraction(0))
-    first_omitted = ts[terms]
-    mag = abs(first_omitted)
-    idx = SHAPES[spec.shape].indices
-    omitted_indices = idx(n + terms, spec.l)
-    M = min(omitted_indices)
-    q_lo, q_hi = _ratio_interval(spec, S, M)
-    if q_lo <= 1:
-        # Ratio interval too loose to bound the remainder; the plain bracket
-        # still stands on its own.
-        return bracket_tail(spec, n, terms)
-    steps = sum(idx(n + terms + 1, spec.l)) - sum(omitted_indices)
-    u_lo = q_hi ** (-steps)  # smallest possible consecutive summand ratio
-    u_hi = q_lo ** (-steps)  # largest
-    if SHAPES[spec.shape].alternating:
-        # Remainder magnitude R satisfies R/mag in [y_lo, y_hi]: the nested
-        # fixed interval of y -> 1 - u*y over u in [u_lo, u_hi].
-        y_lo = (1 - u_hi) / (1 - u_lo * u_hi)
-        y_hi = (1 - u_lo) / (1 - u_lo * u_hi)
-        r_lo, r_hi = mag * y_lo, mag * y_hi
-    else:
-        r_lo, r_hi = mag / (1 - u_lo), mag / (1 - u_hi)
-    if first_omitted > 0:
-        refined = Interval(partial + r_lo, partial + r_hi)
-    else:
-        refined = Interval(partial - r_hi, partial - r_lo)
-    simple = bracket_tail(spec, n, terms)
-    return Interval(max(refined.lo, simple.lo), min(refined.hi, simple.hi))
+    return _as_interval(_enclose(spec, n, terms))
 
 
-def _floor_pair(interval: Interval) -> tuple[int, int] | None:
-    """Floors of the reciprocal's endpoints, or None while 0 might be inside."""
-    lo, hi = interval
-    if lo <= 0 <= hi:
-        return None
-    # 1/x is decreasing on either side of 0, so 1/S ranges over [1/hi, 1/lo].
-    return math.floor(1 / hi), math.floor(1 / lo)
+class CertifiedFloor(namedtuple("CertifiedFloor", "value terms interval")):
+    """The floor, the summand count that pinned it, and the final enclosure.
 
+    certify_floor stores the enclosure as its integer endpoints; `interval`
+    reads back an Interval, and ==, != and hash compare that view.
+    """
 
-class CertifiedFloor(NamedTuple):
-    value: int
-    terms: int
-    interval: Interval
+    __slots__ = ()
+
+    @property
+    def interval(self) -> Interval:
+        ends = self[2]
+        return ends if isinstance(ends, Interval) else _as_interval(ends)
+
+    def _view(self) -> tuple:
+        return self.value, self.terms, self.interval
+
+    def __eq__(self, other) -> bool:
+        return self._view() == other
+
+    def __ne__(self, other) -> bool:
+        return self._view() != other
+
+    def __hash__(self) -> int:
+        return hash(self._view())
 
 
 def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor:
@@ -294,18 +290,22 @@ def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor
     across rounds so refinement never widens.  Raises UndecidedIntervalError
     if the budget is exhausted first."""
     _require_valid_n(spec, n)
-    current: Interval | None = None
+    current = None
     terms = 2
     while terms <= max_terms:
-        fresh = refined_bracket(spec, n, terms)
-        current = fresh if current is None else Interval(
-            max(current.lo, fresh.lo), min(current.hi, fresh.hi)
-        )
-        if current.lo > current.hi:
+        fresh = _enclose(spec, n, terms)
+        if current is not None:  # keep the larger lower end and the smaller upper end
+            (a, b, c, d), (e, f, g, h) = current, fresh
+            current = (a, b) if a * f >= e * b else (e, f)
+            current += (c, d) if c * h <= g * d else (g, h)
+        else:
+            current = fresh
+        lo, lo_den, hi, hi_den = current
+        if lo > hi if lo_den == hi_den else lo * hi_den > hi * lo_den:
             raise ArithmeticError(f"inconsistent enclosures for {spec}, n={n}")
-        pair = _floor_pair(current)
-        if pair is not None and pair[0] == pair[1]:
-            return CertifiedFloor(pair[0], terms, current)
+        # 1/x is decreasing on either side of 0, so 1/S ranges over [1/hi, 1/lo].
+        if (lo > 0 or hi < 0) and (value := hi_den // hi) == lo_den // lo:
+            return CertifiedFloor(value, terms, current)
         terms *= 2
     raise UndecidedIntervalError(
         f"{spec.family}/{spec.shape} n={n}: floor undecided within {max_terms} terms"

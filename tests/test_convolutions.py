@@ -202,3 +202,20 @@ def test_row_queried_in_any_order(seq, kr, ns):
     for n, raw in raws:
         assert raw == oracle_conv(seq, k, r, n), n
         assert type(raw) is type(ascending[n]), n
+
+
+def test_row_memory_stays_linear():
+    # A row keeps its latest running sums only, not one pair per n: the
+    # traced peak of a fresh n = 1000 row stays near the size of its terms.
+    code = (
+        "import tracemalloc\n"
+        "from balkit import LUCAS_BALANCING, conv_closed\n"
+        "tracemalloc.start()\n"
+        "conv_closed(LUCAS_BALANCING, 5, 2, 1000)\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "assert peak < 2.5e6, peak\n"
+    )
+    src = str(Path(balkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

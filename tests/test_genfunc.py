@@ -94,6 +94,13 @@ def test_expand_rejects_fractional_coefficients():
         expand(RationalGF((1,), (2, 1)), 3)
 
 
+def test_expand_negative_non_unit_constant_term():
+    # d0 = -2: integer coefficients come out exact, the first fraction is named.
+    assert expand(RationalGF((4,), (-2, 4)), 3) == [-2, -4, -8]
+    with pytest.raises(ArithmeticError, match=r"^non-integer series coefficient at t\^1: -1/2$"):
+        expand(RationalGF((2,), (-2, 1)), 3)
+
+
 def test_parameter_errors():
     with pytest.raises(ValueError):
         gf(BALANCING, 1, 1)

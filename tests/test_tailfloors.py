@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 import pickle
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 
 from balkit import (
     SHAPES,
+    CertifiedFloor,
     TailSpec,
     UndecidedIntervalError,
     bracket_tail,
@@ -22,6 +25,7 @@ from balkit import (
     verified_floor,
 )
 from balkit import BALANCING, LUCAS_BALANCING
+from balkit import tailfloors, verify
 
 B_SHAPE_KEYS = [s for s in SHAPES if not s.startswith("gf_")]
 G_SHAPE_KEYS = [s for s in SHAPES if s.startswith("gf_")]
@@ -255,3 +259,73 @@ def test_spec_and_certificate_are_immutable_values():
 def test_undecided_budget():
     with pytest.raises(UndecidedIntervalError):
         verified_floor(TailSpec("B", "alt"), 2, max_terms=1)
+
+
+# -- golden certificates ---------------------------------------------------------
+#
+# SHA-256 of the newline-joined lines "family shape l a n ...", integers in hex.
+# The digests pin every certified value, term count and exact endpoint.
+
+PLAN_CASES = [case for _, _, case in verify.tailfloors()]
+PLAN_SPECS = list(dict.fromkeys(spec for spec, _ in PLAN_CASES))
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def endpoint_fields(interval):
+    return [hex(x) for end in interval for x in (end.numerator, end.denominator)]
+
+
+def certificate_line(spec, n, cert):
+    fields = [spec.family, spec.shape, spec.l, spec.a, n, hex(cert.value), cert.terms]
+    return " ".join(map(str, fields + endpoint_fields(cert.interval)))
+
+
+def test_golden_plan_certificates():
+    lines = [certificate_line(spec, n, certify_floor(spec, n, max_terms=16)) for spec, n in PLAN_CASES]
+    assert len(PLAN_CASES) == 895 and len(PLAN_SPECS) == 36
+    assert digest(lines) == "0f26e5b9ea6754893e486abf8d30866c77ce029f3cbe179882c604774a218762"
+
+
+def test_golden_certificates_at_n_1000():
+    specs = [TailSpec("B", "alt_even_sq"), TailSpec("C", "alt_evenprod"),
+             TailSpec("B", "plain", l=2), TailSpec("G", "gf_sq", a=2)]
+    lines = [certificate_line(spec, 1000, certify_floor(spec, 1000)) for spec in specs]
+    assert digest(lines) == "17653f9a2f97b9bccc238215ce79a0dd13207176c54c9d9f9a20c5baf9fda2df"
+
+
+def test_golden_refined_brackets():
+    lines = []
+    for spec in PLAN_SPECS:
+        for n in range(threshold(spec), threshold(spec) + 4):
+            for terms in (2, 4, 8, 16):
+                fields = [spec.family, spec.shape, spec.l, spec.a, n, terms]
+                lines.append(" ".join(map(str, fields + endpoint_fields(refined_bracket(spec, n, terms)))))
+    assert digest(lines) == "680ec66b60739c47800e34147873129211e6881d08674db6bad8d75f5a2d18b6"
+
+
+def test_certificate_takes_no_gcd_and_builds_no_fraction(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("certify_floor reduced a fraction")
+
+    certs = []
+    with monkeypatch.context() as m:
+        m.setattr(tailfloors, "Fraction", forbidden)
+        m.setattr(math, "gcd", forbidden)
+        for spec in PLAN_SPECS:
+            certs.append(certify_floor(spec, threshold(spec) + 5))
+    for spec, cert in zip(PLAN_SPECS, certs):
+        assert cert.value == closed_floor(spec, threshold(spec) + 5), spec
+        assert cert.interval == refined_bracket(spec, threshold(spec) + 5, cert.terms), spec
+
+
+def test_certificate_interval_is_a_value():
+    spec, n = TailSpec("C", "alt_oddprod"), 4
+    cert = certify_floor(spec, n)
+    reduced = CertifiedFloor(cert.value, cert.terms, cert.interval)
+    assert isinstance(cert.interval.lo, Fraction)
+    assert cert == reduced and not cert != reduced and hash(cert) == hash(reduced)
+    assert cert == (cert.value, cert.terms, refined_bracket(spec, n, cert.terms))
+    assert pickle.loads(pickle.dumps(cert)).interval == cert.interval
