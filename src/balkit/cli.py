@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 from . import convolutions as conv
 from . import genfunc
@@ -141,8 +142,6 @@ def cmd_gf(args) -> int:
 def cmd_conv(args) -> int:
     t0 = time.perf_counter()
     family = _family(args.family)
-    if not args.k > args.r >= 0:
-        raise UsageError(f"need k > r >= 0, got k={args.k}, r={args.r}")
     item: dict = {"k": args.k, "r": args.r, "n": args.n}
     lines = []
     failed = 0
@@ -171,48 +170,34 @@ def cmd_conv(args) -> int:
 
 # -- identity ------------------------------------------------------------------
 
-def _run_sweep(check, grid, jobs: int) -> tuple[int, list[dict]]:
-    """Run a Verdict check over a grid of parameter tuples, serially or across
-    a process pool.  Returns (failed, per-case items)."""
-    # The pool class is read through the module, so that a class bound there
-    # after import is the one used.
-    if jobs > 1 and len(grid) >= 256:
-        chunk = max(16, len(grid) // (jobs * 8))
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(check, *zip(*grid), chunksize=chunk))
-    else:
-        verdicts = [check(*p) for p in grid]
-    items = []
-    failed = 0
-    for p, v in zip(grid, verdicts):
-        it: dict = {"params": list(p), "ok": v.holds}
-        if not v.holds:
-            failed += 1
-            label, _, lhs, rhs = v.witness
-            it.update({"equality": label, "lhs": str(lhs), "rhs": str(rhs)})
-        items.append(it)
-    return failed, items
-
-
 def cmd_identity(args) -> int:
     t0 = time.perf_counter()
     if args.name not in verify.IDENTITY_GRIDS:
         raise UsageError(f"unknown identity {args.name!r}; known: "
                          + ", ".join(sorted(verify.IDENTITY_GRIDS)))
     check, grid = verify.identity_sweep(args.name, args.max, args.max_prime)
-    failed, items = _run_sweep(check, grid, _jobs(args))
-    report = _report("identity", {"name": args.name, "max": args.max,
-                                  "max_prime": args.max_prime}, items, failed, t0)
+    evaluate = partial(verify.failure, check)
+    jobs = _jobs(args)
+    # The pool class is read through the module, so one bound there after import is used.
+    if jobs > 1 and len(grid) >= 256:
+        chunk = max(16, len(grid) // (jobs * 8))
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
+            found = list(pool.map(evaluate, *zip(*grid), chunksize=chunk))
+    else:
+        found = [evaluate(*p) for p in grid]
+    items = [{"params": list(p), "ok": f is None, **(f or {})} for p, f in zip(grid, found)]
     failures = [it for it in items if not it["ok"]]
-    _emit(report, args, [f"{args.name}: passed {len(grid) - failed}/{len(grid)}"]
+    report = _report("identity", {"name": args.name, "max": args.max,
+                                  "max_prime": args.max_prime}, items, len(failures), t0)
+    _emit(report, args, [f"{args.name}: passed {len(grid) - len(failures)}/{len(grid)}"]
           + [f"  FAIL {f}" for f in failures[:10]])
-    return 0 if failed == 0 else 1
+    return 1 if failures else 0
 
 
 # -- tailfloor -------------------------------------------------------------------
 
-_TAIL_NAMES = {f"{shape.replace('_', '-')}-{fam}": (fam, shape) for shape in tails.SHAPES
-               for fam in (("G",) if shape.startswith("gf_") else ("B", "C"))}
+_TAIL_NAMES = {f"{shape.replace('_', '-')}-{fam}": (fam, shape)
+               for shape, row in tails.SHAPES.items() for fam in row.families}
 
 
 def _tail_spec(args) -> tails.TailSpec:

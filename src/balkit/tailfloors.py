@@ -61,7 +61,7 @@ class TailSpec(namedtuple("TailSpec", "family shape l a")):
             raise ValueError(f"unknown family {family!r}")
         if shape not in SHAPES:
             raise ValueError(f"unknown shape {shape!r}")
-        if (family == "G") != shape.startswith("gf_"):
+        if family not in SHAPES[shape].families:
             raise ValueError(f"shape {shape} does not belong to family {family}")
         if shape == "plain" and l < 1:
             raise ValueError(f"plain shape needs l >= 1, got {l}")
@@ -78,27 +78,42 @@ class TailSpec(namedtuple("TailSpec", "family shape l a")):
 
 
 class _Shape(NamedTuple):
+    families: tuple[str, ...]
     indices: Callable[[int, int], tuple[int, ...]]  # (k, l) -> factor indices
     alternating: bool
     threshold: int  # smallest valid n
+    backbone: Callable[..., int]  # (S, n, l, a) -> x of the closed form below
 
+
+_BC, _G = ("B", "C"), ("G",)
 
 # Summand at k (running from n): sign / product of sequence values at indices.
 SHAPES: dict[str, _Shape] = {
-    "plain": _Shape(lambda k, l: (l * k,), False, 1),
-    "alt": _Shape(lambda k, l: (k,), True, 1),
-    "alt_sq": _Shape(lambda k, l: (k, k), True, 1),
-    "alt_even_idx": _Shape(lambda k, l: (2 * k,), True, 1),
-    "alt_odd_idx": _Shape(lambda k, l: (2 * k + 1,), True, 1),
-    "alt_consec_prod": _Shape(lambda k, l: (k, k + 1), True, 1),
-    "alt_even_sq": _Shape(lambda k, l: (2 * k, 2 * k), True, 1),
-    "alt_odd_sq": _Shape(lambda k, l: (2 * k - 1, 2 * k - 1), True, 2),
-    "alt_oddprod": _Shape(lambda k, l: (2 * k - 1, 2 * k + 1), True, 1),
-    "alt_evenprod": _Shape(lambda k, l: (2 * k, 2 * k + 2), True, 1),
-    "gf_plain": _Shape(lambda k, l: (k,), False, 1),
-    "gf_sq": _Shape(lambda k, l: (k, k), False, 1),
-    "gf_even_idx": _Shape(lambda k, l: (2 * k,), False, 1),
-    "gf_odd_idx": _Shape(lambda k, l: (2 * k - 1,), False, 2),
+    "plain": _Shape(_BC, lambda k, l: (l * k,), False, 1,
+                    lambda S, n, l, a: S(l * n) - S(l * (n - 1))),
+    "alt": _Shape(_BC, lambda k, l: (k,), True, 1, lambda S, n, l, a: S(n) + S(n - 1)),
+    "alt_sq": _Shape(_BC, lambda k, l: (k, k), True, 1,
+                     lambda S, n, l, a: S(n) ** 2 + S(n - 1) ** 2),
+    "alt_even_idx": _Shape(_BC, lambda k, l: (2 * k,), True, 1,
+                           lambda S, n, l, a: S(2 * n) + S(2 * n - 2)),
+    "alt_odd_idx": _Shape(_BC, lambda k, l: (2 * k + 1,), True, 1,
+                          lambda S, n, l, a: S(2 * n + 1) + S(2 * n - 1)),
+    "alt_consec_prod": _Shape(_BC, lambda k, l: (k, k + 1), True, 1,
+                              lambda S, n, l, a: S(n) * S(n + 1) + S(n - 1) * S(n)),
+    "alt_even_sq": _Shape(_BC, lambda k, l: (2 * k, 2 * k), True, 1,
+                          lambda S, n, l, a: S(2 * n) ** 2 + S(2 * n - 2) ** 2),
+    "alt_odd_sq": _Shape(_BC, lambda k, l: (2 * k - 1, 2 * k - 1), True, 2,
+                         lambda S, n, l, a: S(2 * n - 1) ** 2 + S(2 * n - 3) ** 2),
+    "alt_oddprod": _Shape(_BC, lambda k, l: (2 * k - 1, 2 * k + 1), True, 1,
+                          lambda S, n, l, a: S(2 * n) ** 2 + S(2 * n - 2) ** 2),
+    "alt_evenprod": _Shape(_BC, lambda k, l: (2 * k, 2 * k + 2), True, 1,
+                           lambda S, n, l, a: S(2 * n + 1) ** 2 + S(2 * n - 1) ** 2),
+    "gf_plain": _Shape(_G, lambda k, l: (k,), False, 1, lambda S, n, l, a: S(n) - S(n - 1)),
+    "gf_sq": _Shape(_G, lambda k, l: (k, k), False, 1, lambda S, n, l, a: a * S(n - 1) * S(n)),
+    "gf_even_idx": _Shape(_G, lambda k, l: (2 * k,), False, 1,
+                          lambda S, n, l, a: S(2 * n) - S(2 * n - 2)),
+    "gf_odd_idx": _Shape(_G, lambda k, l: (2 * k - 1,), False, 2,
+                         lambda S, n, l, a: S(2 * n - 1) - S(2 * n - 3)),
 }
 
 
@@ -114,52 +129,28 @@ def _require_valid_n(spec: TailSpec, n: int) -> None:
 
 # -- closed forms -------------------------------------------------------------
 #
-# Each alternating shape of B and C floors to x + e for even n (the positive
-# tail) and -(x + o) for odd n, where x is the shape's positive backbone below.
-# (e, o) is (0, 1) for B and (-1, 0) for C; the exceptions, which differ from
-# the naive square/product analogy by small constants, record the values the
-# rigorous bracketer reproduces exactly.
+# A shape floors to x + e for even n and to x + o for odd n, negated when it
+# alternates, where x is its backbone in SHAPES.  (e, o) is (0, 1) for the
+# alternating B shapes and (-1, 0) for the C ones.  Plain and G shapes have
+# their own, as do the exceptions, which differ from the naive square/product
+# analogy by small constants: each records what the rigorous bracketer gives.
 
-_BACKBONES: dict[str, Callable] = {
-    "alt": lambda S, n: S(n) + S(n - 1),
-    "alt_sq": lambda S, n: S(n) ** 2 + S(n - 1) ** 2,
-    "alt_even_idx": lambda S, n: S(2 * n) + S(2 * n - 2),
-    "alt_odd_idx": lambda S, n: S(2 * n + 1) + S(2 * n - 1),
-    "alt_consec_prod": lambda S, n: S(n) * S(n + 1) + S(n - 1) * S(n),
-    "alt_even_sq": lambda S, n: S(2 * n) ** 2 + S(2 * n - 2) ** 2,
-    "alt_odd_sq": lambda S, n: S(2 * n - 1) ** 2 + S(2 * n - 3) ** 2,
-    "alt_oddprod": lambda S, n: S(2 * n) ** 2 + S(2 * n - 2) ** 2,
-    "alt_evenprod": lambda S, n: S(2 * n + 1) ** 2 + S(2 * n - 1) ** 2,
-}
-_OFFSETS = {"B": (0, 1), "C": (-1, 0), ("B", "alt_oddprod"): (-1, 0),
-            ("B", "alt_evenprod"): (-1, 0), ("C", "alt_consec_prod"): (-2, -1),
-            ("C", "alt_oddprod"): (7, 8), ("C", "alt_evenprod"): (7, 8)}
-
-
-def _closed_G(shape: str, S, n: int, a: int) -> int:
-    even = n % 2 == 0
-    if shape == "gf_plain":
-        return S(n) - S(n - 1) - (0 if even else 1)
-    if shape == "gf_sq":
-        return a * S(n - 1) * S(n) - (1 if even else 0)
-    if shape == "gf_even_idx":
-        return S(2 * n) - S(2 * n - 2) - 1
-    if shape == "gf_odd_idx":
-        return S(2 * n - 1) - S(2 * n - 3)
-    raise ValueError(shape)
+_OFFSETS = {"B": (0, 1), "C": (-1, 0), ("B", "plain"): (-1, -1), ("C", "plain"): (0, 0),
+            ("B", "alt_oddprod"): (-1, 0), ("B", "alt_evenprod"): (-1, 0),
+            ("C", "alt_consec_prod"): (-2, -1), ("C", "alt_oddprod"): (7, 8),
+            ("C", "alt_evenprod"): (7, 8), ("G", "gf_plain"): (0, -1), ("G", "gf_sq"): (-1, 0),
+            ("G", "gf_even_idx"): (-1, -1), ("G", "gf_odd_idx"): (0, 0)}
 
 
 def closed_floor(spec: TailSpec, n: int) -> int:
     """Closed-form value of floor(1 / tail(spec, n)); floor is toward -infinity."""
     _require_valid_n(spec, n)
-    S = partial(_memo, spec.sequence())
-    if spec.family == "G":
-        return _closed_G(spec.shape, S, n, spec.a)
-    if spec.shape == "plain":
-        return S(spec.l * n) - S(spec.l * (n - 1)) - (1 if spec.family == "B" else 0)
-    x = _BACKBONES[spec.shape](S, n)
-    e, o = _OFFSETS.get((spec.family, spec.shape), _OFFSETS[spec.family])
-    return x + e if n % 2 == 0 else -(x + o)
+    shape = SHAPES[spec.shape]
+    x = shape.backbone(partial(_memo, spec.sequence()), n, spec.l, spec.a)
+    e, o = _OFFSETS.get((spec.family, spec.shape)) or _OFFSETS[spec.family]
+    if n % 2 == 0:
+        return x + e
+    return -(x + o) if shape.alternating else x + o
 
 
 # -- enclosures ----------------------------------------------------------------

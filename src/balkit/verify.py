@@ -117,10 +117,10 @@ def tailfloors():
         return _agree(tails.closed_floor(spec, n), tails.verified_floor(spec, n, max_terms=16))
 
     specs = [tails.TailSpec(fam, shape, l=l)
-             for fam in ("B", "C") for shape in tails.SHAPES if not shape.startswith("gf_")
+             for fam in ("B", "C") for shape, row in tails.SHAPES.items() if fam in row.families
              for l in ((1, 2, 3) if shape == "plain" else (1,))]
     specs += [tails.TailSpec("G", shape, a=a)
-              for a in (1, 2, 3) for shape in tails.SHAPES if shape.startswith("gf_")]
+              for a in (1, 2, 3) for shape, row in tails.SHAPES.items() if "G" in row.families]
     for spec in specs:
         for n in range(tails.threshold(spec), 26):
             yield "tailfloor", check, (spec, n)
@@ -130,6 +130,19 @@ def plan() -> list[tuple]:
     """The verify-all units in report order, each a fresh generator of cases."""
     return [("kernel", kernel()), ("identities", identities()), ("genfunc", genfunc()),
             ("convolutions", convolutions()), ("tailfloors", tailfloors())]
+
+
+def failure(check, *args) -> dict | None:
+    """None if check(*args) holds; else the failed equality's label with both
+    sides as decimal strings, or the message of the ArithmeticError it raised."""
+    try:
+        verdict = check(*args)
+    except ArithmeticError as exc:
+        return {"error": str(exc)}
+    if verdict.holds:
+        return None
+    equality, _, lhs, rhs = verdict.witness
+    return {"equality": equality, "lhs": str(lhs), "rhs": str(rhs)}
 
 
 def run(cases, deadline: float = float("inf"), clock=time.perf_counter) -> tuple:
@@ -146,17 +159,12 @@ def run(cases, deadline: float = float("inf"), clock=time.perf_counter) -> tuple
             return checked, failed, witness, False
         label, check, args = case
         checked += 1
-        try:
-            verdict = check(*args)
-        except ArithmeticError as exc:
-            equality, found = "", {"error": str(exc)}
-        else:
-            if verdict.holds:
-                continue
-            equality, _, lhs, rhs = verdict.witness
-            found = {"lhs": str(lhs), "rhs": str(rhs)}
+        found = failure(check, *args)
+        if found is None:
+            continue
         failed += 1
         if witness is None:
+            equality = found.pop("equality", "")
             witness = {"label": f"{label} {equality}".rstrip(), **found,
                        "params": [a if isinstance(a, int) else str(a) for a in args]}
     return checked, failed, witness, True

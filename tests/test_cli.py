@@ -260,6 +260,42 @@ def test_identity_sweep_with_worker_pool(capsys, monkeypatch):
     assert reports[0] == reports[1]
 
 
+def test_identity_arithmetic_failure_exit_1(tmp_path, capsys, monkeypatch):
+    # 256 cases reach the pool threshold, so --jobs 2 runs the checks in workers.
+    import math
+    import multiprocessing
+
+    from balkit import identities
+
+    real = identities.B
+
+    def B(n):
+        if n == 7:
+            raise ArithmeticError("injected at B(7)")
+        return real(n)
+
+    monkeypatch.setattr(identities, "B", B)
+    reports = []
+    for jobs in ("1", "2"):
+        if jobs == "2" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched B reaches pool workers only through fork")
+        path = tmp_path / f"report-{jobs}.json"
+        code, out, err = run(capsys, "identity", "gcd", "--max", "16", "--jobs", jobs,
+                             "--format", "json", "--output", str(path))
+        assert code == 1 and err == ""
+        assert path.read_text(encoding="utf-8") == out
+        report = json.loads(out)
+        assert report["summary"] == {"checked": 256, "passed": 225, "failed": 31}
+        failing = [it for it in report["items"] if not it["ok"]]
+        assert [it["params"] for it in failing] == [
+            [m, n] for m in range(1, 17) for n in range(1, 17) if 7 in (m, n, math.gcd(m, n))]
+        assert all(it == {"params": it["params"], "ok": False, "error": "injected at B(7)"}
+                   for it in failing)
+        del report["wall_time_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_jobs_resolution(monkeypatch):
     from types import SimpleNamespace
 

@@ -296,6 +296,26 @@ def test_golden_certificates_at_n_1000():
     assert digest(lines) == "17653f9a2f97b9bccc238215ce79a0dd13207176c54c9d9f9a20c5baf9fda2df"
 
 
+def test_golden_closed_floors():
+    # Every shape with each family TailSpec accepts for it, so the pin does not
+    # read the shape table it guards.
+    specs = []
+    for shape in SHAPES:
+        for fam in ("B", "C", "G"):
+            try:
+                TailSpec(fam, shape)
+            except ValueError:
+                continue
+            if fam == "G":
+                specs += [TailSpec(fam, shape, a=a) for a in range(1, 6)]
+            else:
+                specs += [TailSpec(fam, shape, l=l) for l in range(1, 5 if shape == "plain" else 2)]
+    lines = [f"{spec.family} {spec.shape} {spec.l} {spec.a} {n} {hex(closed_floor(spec, n))}"
+             for spec in specs for n in range(threshold(spec), 80)]
+    assert len(lines) == 3627
+    assert digest(lines) == "55eebd565aff4fbd4556c72df8f8661a577c33a1e8aadac7079cef95c335db11"
+
+
 def test_golden_refined_brackets():
     lines = []
     for spec in PLAN_SPECS:
