@@ -46,6 +46,7 @@ from .sequences import (
     LUCAS_BALANCING,
     IndexedTerm,
     Sequence,
+    family,
     gen_fibonacci,
     is_balancing,
     pair_fast,

@@ -5,7 +5,8 @@ umbrella verify-all.
 Exit codes: 0 all checks pass, 1 mathematical mismatch, undecided interval or
 other arithmetic failure, 2 usage error.  Reports print as text by default or
 as canonical JSON (--format json); --output writes the JSON report to a file
-either way.  Big integers are serialized as decimal strings.
+either way.  Big integers are serialized as decimal strings, and an identity
+report lists only its failing cases.
 """
 
 from __future__ import annotations
@@ -37,25 +38,6 @@ def __getattr__(name: str):
         globals()[name] = ProcessPoolExecutor
         return ProcessPoolExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _family(flag: str, a: int | None = None) -> seqs.Sequence:
-    if flag in verify.FAMILIES:
-        return verify.FAMILIES[flag]
-    if flag == "G":
-        return seqs.gen_fibonacci(a if a is not None else 1)
-    raise UsageError(f"unknown family {flag!r} (expected B, C, F, L, or G)")
-
-
-def _report(command: str, params: dict, items: list[dict], failed: int, t0: float) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "params": params,
-        "items": items,
-        "summary": {"checked": len(items), "passed": len(items) - failed, "failed": failed},
-        "wall_time_s": round(time.perf_counter() - t0, 6),
-    }
 
 
 def render_json(report: dict) -> str:
@@ -93,26 +75,20 @@ def _jobs(args) -> int:
 
 # -- seq -----------------------------------------------------------------------
 
-def cmd_seq(args) -> int:
-    t0 = time.perf_counter()
-    family = _family(args.family, args.a)
+def cmd_seq(args) -> tuple:
+    family = seqs.family(args.family, args.a)
     if args.start > args.stop:
         raise UsageError(f"--from {args.start} exceeds --to {args.stop}")
-    items = [
-        {"n": t.n, "value": str(t.value)}
-        for t in seqs.stream(family, args.start, args.stop)
-    ]
-    report = _report("seq", {"family": args.family, "from": args.start, "to": args.stop},
-                     items, 0, t0)
-    _emit(report, args, [" ".join(i["value"] for i in items)])
-    return 0
+    items = [{"n": t.n, "value": str(t.value)}
+             for t in seqs.stream(family, args.start, args.stop)]
+    return ({"family": args.family, "from": args.start, "to": args.stop}, items, len(items), 0,
+            [" ".join(i["value"] for i in items)])
 
 
 # -- gf ------------------------------------------------------------------------
 
-def cmd_gf(args) -> int:
-    t0 = time.perf_counter()
-    family = _family(args.family)
+def cmd_gf(args) -> tuple:
+    family = seqs.family(args.family)
     g = genfunc.gf(family, args.k, args.r)
     lines = [str(g)]
     try:
@@ -128,20 +104,15 @@ def cmd_gf(args) -> int:
         ]
         lines += [" ".join(map(str, coeffs)), "match" if coeffs == direct else "MISMATCH"]
     failed = sum(1 for it in items if not it.get("ok"))
-    report = _report(
-        "gf",
-        {"family": args.family, "k": args.k, "r": args.r, "terms": args.terms,
-         "numer": [str(c) for c in g.numer], "denom": [str(c) for c in g.denom]},
-        items, failed, t0)
-    _emit(report, args, lines)
-    return 1 if failed else 0
+    return ({"family": args.family, "k": args.k, "r": args.r, "terms": args.terms,
+             "numer": [str(c) for c in g.numer], "denom": [str(c) for c in g.denom]},
+            items, len(items), failed, lines)
 
 
 # -- conv ----------------------------------------------------------------------
 
-def cmd_conv(args) -> int:
-    t0 = time.perf_counter()
-    family = _family(args.family)
+def cmd_conv(args) -> tuple:
+    family = seqs.family(args.family)
     item: dict = {"k": args.k, "r": args.r, "n": args.n}
     lines = []
     failed = 0
@@ -163,15 +134,12 @@ def cmd_conv(args) -> int:
             item["ok"] = item["brute"] == item["closed"]
             failed = 0 if item["ok"] else 1
             lines.append("match" if item["ok"] else "MISMATCH")
-    report = _report("conv", {"family": args.family, "method": args.method}, [item], failed, t0)
-    _emit(report, args, lines)
-    return 1 if failed else 0
+    return {"family": args.family, "method": args.method}, [item], 1, failed, lines
 
 
 # -- identity ------------------------------------------------------------------
 
-def cmd_identity(args) -> int:
-    t0 = time.perf_counter()
+def cmd_identity(args) -> tuple:
     if args.name not in verify.IDENTITY_GRIDS:
         raise UsageError(f"unknown identity {args.name!r}; known: "
                          + ", ".join(sorted(verify.IDENTITY_GRIDS)))
@@ -185,13 +153,14 @@ def cmd_identity(args) -> int:
             found = list(pool.map(evaluate, *zip(*grid), chunksize=chunk))
     else:
         found = [evaluate(*p) for p in grid]
-    items = [{"params": list(p), "ok": f is None, **(f or {})} for p, f in zip(grid, found)]
-    failures = [it for it in items if not it["ok"]]
-    report = _report("identity", {"name": args.name, "max": args.max,
-                                  "max_prime": args.max_prime}, items, len(failures), t0)
-    _emit(report, args, [f"{args.name}: passed {len(grid) - len(failures)}/{len(grid)}"]
-          + [f"  FAIL {f}" for f in failures[:10]])
-    return 1 if failures else 0
+    # Only failures are listed: a passing case is {"params", "ok": true}, and the
+    # params follow from the grid.
+    failures = [{"params": list(p), "ok": False, **f}
+                for p, f in zip(grid, found) if f is not None]
+    return ({"name": args.name, "max": args.max, "max_prime": args.max_prime}, failures,
+            len(grid), len(failures),
+            [f"{args.name}: passed {len(grid) - len(failures)}/{len(grid)}"]
+            + [f"  FAIL {f}" for f in failures[:10]])
 
 
 # -- tailfloor -------------------------------------------------------------------
@@ -200,17 +169,12 @@ _TAIL_NAMES = {f"{shape.replace('_', '-')}-{fam}": (fam, shape)
                for shape, row in tails.SHAPES.items() for fam in row.families}
 
 
-def _tail_spec(args) -> tails.TailSpec:
+def cmd_tailfloor(args) -> tuple:
     if args.spec not in _TAIL_NAMES:
         raise UsageError(f"unknown tail spec {args.spec!r}; known: "
                          + ", ".join(sorted(_TAIL_NAMES)))
     fam, shape = _TAIL_NAMES[args.spec]
-    return tails.TailSpec(fam, shape, l=args.l, a=args.a)
-
-
-def cmd_tailfloor(args) -> int:
-    t0 = time.perf_counter()
-    spec = _tail_spec(args)
+    spec = tails.TailSpec(fam, shape, l=args.l, a=args.a)
     if args.n < tails.threshold(spec):
         raise UsageError(f"{args.spec} needs n >= {tails.threshold(spec)}, got {args.n}")
     item: dict = {"spec": args.spec, "n": args.n, "l": spec.l, "a": spec.a}
@@ -235,16 +199,13 @@ def cmd_tailfloor(args) -> int:
         item[key] = str(exc)
         failed = 1
         lines.append(f"{key}: {exc}")
-    report = _report("tailfloor", {"spec": args.spec, "mode": args.mode}, [item], failed, t0)
-    _emit(report, args, lines)
-    return 1 if failed else 0
+    return {"spec": args.spec, "mode": args.mode}, [item], 1, failed, lines
 
 
 # -- verify-all ------------------------------------------------------------------
 
-def cmd_verify_all(args) -> int:
-    t0 = time.perf_counter()
-    deadline = float("inf") if args.budget is None else t0 + args.budget
+def cmd_verify_all(args) -> tuple:
+    deadline = float("inf") if args.budget is None else time.perf_counter() + args.budget
     items = []
     lines = []
     for name, cases in verify.plan():
@@ -260,12 +221,8 @@ def cmd_verify_all(args) -> int:
         if witness:
             items[-1]["witness"] = witness
             lines.append(f"  FAIL {witness}")
-    checked = sum(it["checked"] for it in items)
-    failed = sum(it["failed"] for it in items)
-    report = _report("verify-all", {"budget": args.budget}, items, failed, t0)
-    report["summary"] = {"checked": checked, "passed": checked - failed, "failed": failed}
-    _emit(report, args, lines)
-    return 0 if failed == 0 else 1
+    return ({"budget": args.budget}, items, sum(it["checked"] for it in items),
+            sum(it["failed"] for it in items), lines)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -339,14 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
+        params, items, checked, failed, lines = args.fn(args)
+        report = {"schema": SCHEMA_VERSION, "command": args.command, "params": params,
+                  "items": items,
+                  "summary": {"checked": checked, "passed": checked - failed, "failed": failed},
+                  "wall_time_s": round(time.perf_counter() - t0, 6)}
+        _emit(report, args, lines)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 1 if failed else 0
 
 
 def entrypoint() -> None:

@@ -50,6 +50,16 @@ def gen_fibonacci(a: int) -> Sequence:
     return Sequence("gen-fibonacci", a, 1, 0, 1, param=a)
 
 
+def family(letter: str, a: int = 1) -> Sequence:
+    """The family named by its letter: B, C, F, L, or G(a)."""
+    if letter == "G":
+        return gen_fibonacci(a)
+    families = {"B": BALANCING, "C": LUCAS_BALANCING, "F": FIBONACCI, "L": LUCAS}
+    if letter not in families:
+        raise ValueError(f"unknown family {letter!r} (expected B, C, F, L, or G)")
+    return families[letter]
+
+
 def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, int]:
     """(U(n), U(n+1)) of the Lucas sequence U(P, Q) at n >= 0 in O(log n)
     multiplications, optionally reduced mod `modulus` after every step.

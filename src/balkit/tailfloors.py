@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .sequences import BALANCING, LUCAS_BALANCING, Sequence, _memo, gen_fibonacci
+from .sequences import Sequence, _memo, family
 
 
 class Interval(NamedTuple):
@@ -70,11 +70,7 @@ class TailSpec(namedtuple("TailSpec", "family shape l a")):
         return super().__new__(cls, family, shape, l, a)
 
     def sequence(self) -> Sequence:
-        if self.family == "B":
-            return BALANCING
-        if self.family == "C":
-            return LUCAS_BALANCING
-        return gen_fibonacci(self.a)
+        return family(self.family, self.a)
 
 
 class _Shape(NamedTuple):

@@ -42,7 +42,6 @@ def identity_sweep(name: str, max: int, max_prime: int) -> tuple:
     return getattr(ident, check), grid(max, max_prime)
 
 
-FAMILIES = {"B": seqs.BALANCING, "C": seqs.LUCAS_BALANCING, "F": seqs.FIBONACCI, "L": seqs.LUCAS}
 _HOLDS = ident.Verdict(True)
 
 
@@ -90,7 +89,7 @@ def genfunc():
         return _agree(gen.series_mul(prefix, prefix, 31),
                       [conv.brute_conv(family, k, r, n) for n in range(31)])
 
-    for family in FAMILIES.values():
+    for family in map(seqs.family, "BCFL"):
         for k in range(1, 7):
             for r in range(k):
                 yield "expand", expansion, (family, k, r)
@@ -104,7 +103,7 @@ def convolutions():
     def check(family, k, r, n):
         return _agree(conv.conv_closed(family, k, r, n), conv.brute_conv(family, k, r, n))
 
-    for family in FAMILIES.values():
+    for family in map(seqs.family, "BCFL"):
         for k in range(1, 6):
             for r in range(k):
                 for n in range(41):

@@ -50,6 +50,10 @@ def test_json_roundtrip_byte_identical(capsys):
     code, out, _ = run(capsys, "identity", "gcd", "--max", "12", "--format", "json")
     assert code == 0
     assert render_json(json.loads(out)) == out
+    # An identity report lists only failing cases; the summary counts the whole grid.
+    report = json.loads(out)
+    assert report["items"] == []
+    assert report["summary"] == {"checked": 144, "passed": 144, "failed": 0}
 
 
 def test_output_file_matches_stdout_json(tmp_path, capsys):
@@ -291,6 +295,7 @@ def test_identity_arithmetic_failure_exit_1(tmp_path, capsys, monkeypatch):
             [m, n] for m in range(1, 17) for n in range(1, 17) if 7 in (m, n, math.gcd(m, n))]
         assert all(it == {"params": it["params"], "ok": False, "error": "injected at B(7)"}
                    for it in failing)
+        assert report["items"] == failing
         del report["wall_time_s"]
         reports.append(report)
     assert reports[0] == reports[1]

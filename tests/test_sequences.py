@@ -18,6 +18,7 @@ from balkit import (
     TailSpec,
     binet_pair,
     certify_floor,
+    family,
     gen_fibonacci,
     is_balancing,
     pair_fast,
@@ -135,6 +136,14 @@ def test_stream_crosses_zero():
 
 def test_gen_fibonacci_reproduces_fibonacci():
     assert values(gen_fibonacci(1), 0, 40) == values(FIBONACCI, 0, 40)
+
+
+def test_family_letters():
+    assert [family(c) for c in "BCFL"] == [BALANCING, LUCAS_BALANCING, FIBONACCI, LUCAS]
+    assert family("G", 3) == gen_fibonacci(3) and family("G") == gen_fibonacci(1)
+    for letter in ("Q", "b", "BC", ""):
+        with pytest.raises(ValueError, match="unknown family"):
+            family(letter)
 
 
 def test_range_and_domain_errors():
