@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from functools import partial
@@ -62,17 +61,6 @@ def _emit(report: dict, args, text_lines: list[str]) -> None:
             raise UsageError(f"cannot write report to {args.output}: {exc.strerror}") from None
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("BALKIT_JOBS")
-    if env:
-        return max(1, int(env))
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 # -- seq -----------------------------------------------------------------------
 
 def cmd_seq(args) -> tuple:
@@ -81,8 +69,10 @@ def cmd_seq(args) -> tuple:
         raise UsageError(f"--from {args.start} exceeds --to {args.stop}")
     items = [{"n": t.n, "value": str(t.value)}
              for t in seqs.stream(family, args.start, args.stop)]
-    return ({"family": args.family, "from": args.start, "to": args.stop}, items, len(items), 0,
-            [" ".join(i["value"] for i in items)])
+    params = {"family": args.family, "from": args.start, "to": args.stop}
+    if args.family == "G":
+        params["a"] = args.a
+    return params, items, len(items), 0, [" ".join(i["value"] for i in items)]
 
 
 # -- gf ------------------------------------------------------------------------
@@ -145,11 +135,10 @@ def cmd_identity(args) -> tuple:
                          + ", ".join(sorted(verify.IDENTITY_GRIDS)))
     check, grid = verify.identity_sweep(args.name, args.max, args.max_prime)
     evaluate = partial(verify.failure, check)
-    jobs = _jobs(args)
     # The pool class is read through the module, so one bound there after import is used.
-    if jobs > 1 and len(grid) >= 256:
-        chunk = max(16, len(grid) // (jobs * 8))
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1 and len(grid) >= 256:
+        chunk = max(16, len(grid) // (args.jobs * 8))
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=args.jobs) as pool:
             found = list(pool.map(evaluate, *zip(*grid), chunksize=chunk))
     else:
         found = [evaluate(*p) for p in grid]
@@ -239,9 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", metavar="PATH", default=None,
                        help="also write the JSON report to PATH")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for identity sweeps "
-                            "(default: BALKIT_JOBS or usable CPUs)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for identity sweeps (default: 1, serial)")
 
     p = sub.add_parser("seq", help="emit sequence terms")
     p.add_argument("family", choices=("B", "C", "F", "L", "G"))

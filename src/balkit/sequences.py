@@ -20,8 +20,8 @@ class Sequence(NamedTuple):
     """Two-term recurrence S(n) = mult*S(n-1) + add*S(n-2) with fixed seeds.
 
     Negative indices run the recurrence backwards: balancing terms reflect as
-    -S(n), their companions as +S(n), Fibonacci as (-1)^(n+1) S(n), Lucas as
-    (-1)^n S(n).  Generalized Fibonacci sequences reject negative indices.
+    -S(n), their companions as +S(n), Fibonacci and generalized Fibonacci as
+    (-1)^(n+1) S(n), Lucas as (-1)^n S(n).
     """
 
     key: str
@@ -51,12 +51,14 @@ def gen_fibonacci(a: int) -> Sequence:
 
 
 def family(letter: str, a: int = 1) -> Sequence:
-    """The family named by its letter: B, C, F, L, or G(a)."""
+    """The family named by its letter: B, C, F, L, or G(a).  Only G takes a."""
     if letter == "G":
         return gen_fibonacci(a)
     families = {"B": BALANCING, "C": LUCAS_BALANCING, "F": FIBONACCI, "L": LUCAS}
     if letter not in families:
         raise ValueError(f"unknown family {letter!r} (expected B, C, F, L, or G)")
+    if a != 1:
+        raise ValueError(f"family {letter} takes no parameter a, got a={a}")
     return families[letter]
 
 
@@ -103,8 +105,6 @@ def term(seq: Sequence, n: int) -> int:
     Lucas sequence U = U(mult, -add), whose Q = -add is +-1, so negative
     indices follow from U(-k) = -Q^k U(k).
     """
-    if n < 0 and seq.key == "gen-fibonacci":
-        raise ValueError(f"negative index {n} not defined for {seq}")
     p, q = seq.mult, -seq.add
     if n >= 0:
         u, u1 = _lucas_u(p, q, n)

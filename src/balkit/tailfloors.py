@@ -52,7 +52,7 @@ class UndecidedIntervalError(ArithmeticError):
 
 class TailSpec(namedtuple("TailSpec", "family shape l a")):
     """family 'B' | 'C' | 'G', a shape key from SHAPES, stride l for the
-    plain shape, parameter a for the G family."""
+    plain shape and parameter a for the G family, each 1 elsewhere."""
 
     __slots__ = ()
 
@@ -65,9 +65,11 @@ class TailSpec(namedtuple("TailSpec", "family shape l a")):
             raise ValueError(f"shape {shape} does not belong to family {family}")
         if shape == "plain" and l < 1:
             raise ValueError(f"plain shape needs l >= 1, got {l}")
-        if family == "G" and a < 1:
-            raise ValueError(f"G family needs a >= 1, got {a}")
-        return super().__new__(cls, family, shape, l, a)
+        if shape != "plain" and l != 1:
+            raise ValueError(f"only the plain shape takes a stride l, got l={l} for {shape}")
+        spec = super().__new__(cls, family, shape, l, a)
+        spec.sequence()  # sequences.family rejects a < 1 for G and any a != 1 for B and C
+        return spec
 
     def sequence(self) -> Sequence:
         return family(self.family, self.a)
@@ -244,31 +246,16 @@ def refined_bracket(spec: TailSpec, n: int, terms: int) -> Interval:
     return _as_interval(_enclose(spec, n, terms))
 
 
-class CertifiedFloor(namedtuple("CertifiedFloor", "value terms interval")):
-    """The floor, the summand count that pinned it, and the final enclosure.
+class CertifiedFloor(NamedTuple):
+    """The floor, the summand count that pinned it, and the final enclosure."""
 
-    certify_floor stores the enclosure as its integer endpoints; `interval`
-    reads back an Interval, and ==, != and hash compare that view.
-    """
-
-    __slots__ = ()
+    value: int
+    terms: int
+    ends: tuple[int, int, int, int]  # (lo_num, lo_den, hi_num, hi_den); `interval` reads them
 
     @property
     def interval(self) -> Interval:
-        ends = self[2]
-        return ends if isinstance(ends, Interval) else _as_interval(ends)
-
-    def _view(self) -> tuple:
-        return self.value, self.terms, self.interval
-
-    def __eq__(self, other) -> bool:
-        return self._view() == other
-
-    def __ne__(self, other) -> bool:
-        return self._view() != other
-
-    def __hash__(self) -> int:
-        return hash(self._view())
+        return _as_interval(self.ends)
 
 
 def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor:

@@ -46,6 +46,28 @@ def test_seq_gen_fibonacci(capsys):
     assert out.splitlines()[0] == "0 1 2 5 12 29"
 
 
+def test_seq_gen_fibonacci_records_a(capsys):
+    code, out, _ = run(capsys, "seq", "G", "--a", "2", "--from", "-3", "--to", "3",
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["params"] == {"family": "G", "a": 2, "from": -3, "to": 3}
+    assert [it["value"] for it in report["items"]] == ["5", "-2", "1", "0", "1", "2", "5"]
+    code, out, _ = run(capsys, "seq", "B", "--from", "0", "--to", "3", "--format", "json")
+    assert "a" not in json.loads(out)["params"]
+
+
+@pytest.mark.parametrize("argv", [("seq", "B", "--a", "3", "--from", "0", "--to", "3"),
+                                  ("tailfloor", "alt-B", "--n", "2", "--l", "3"),
+                                  ("tailfloor", "plain-C", "--n", "2", "--a", "2")],
+                         ids=" ".join)
+def test_unused_parameter_exit_2(capsys, argv):
+    # A parameter the command does not read is rejected, never silently recorded.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_json_roundtrip_byte_identical(capsys):
     code, out, _ = run(capsys, "identity", "gcd", "--max", "12", "--format", "json")
     assert code == 0
@@ -301,27 +323,25 @@ def test_identity_arithmetic_failure_exit_1(tmp_path, capsys, monkeypatch):
     assert reports[0] == reports[1]
 
 
-def test_jobs_resolution(monkeypatch):
-    from types import SimpleNamespace
+def test_identity_is_serial_unless_jobs_asks(capsys, monkeypatch):
+    # Neither the CPU count nor BALKIT_JOBS starts the pool; only --jobs N > 1 does.
+    from balkit import cli
 
-    from balkit.cli import _jobs
+    entered = []
 
-    monkeypatch.setenv("BALKIT_JOBS", "3")
-    assert _jobs(SimpleNamespace(jobs=None)) == 3
-    assert _jobs(SimpleNamespace(jobs=2)) == 2
-    monkeypatch.delenv("BALKIT_JOBS")
-    assert _jobs(SimpleNamespace(jobs=None)) >= 1
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
 
-
-def test_default_jobs_follow_cpu_affinity(monkeypatch):
-    from types import SimpleNamespace
-
-    from balkit.cli import _jobs
-
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.delenv("BALKIT_JOBS", raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert _jobs(SimpleNamespace(jobs=None)) == 1
+    code, out, _ = run(capsys, "identity", "gcd", "--max", "30")
+    assert code == 0 and "passed 900/900" in out
+    monkeypatch.setenv("BALKIT_JOBS", "2")
+    code, out, _ = run(capsys, "identity", "gcd", "--max", "30")
+    assert code == 0 and "passed 900/900" in out
+    assert entered == []
 
 
 def test_unwritable_output_exit_2(tmp_path, capsys):

@@ -144,15 +144,15 @@ def test_family_letters():
     for letter in ("Q", "b", "BC", ""):
         with pytest.raises(ValueError, match="unknown family"):
             family(letter)
+    for letter in "BCFL":
+        with pytest.raises(ValueError, match="takes no parameter a"):
+            family(letter, 2)
 
 
 def test_range_and_domain_errors():
     with pytest.raises(ValueError):
         stream(BALANCING, 3, 1)
-    with pytest.raises(ValueError):
-        term(gen_fibonacci(2), -1)
-    with pytest.raises(ValueError):
-        stream(gen_fibonacci(2), -3, 3)
+    assert values(gen_fibonacci(2), -3, 3) == [5, -2, 1, 0, 1, 2, 5]
     with pytest.raises(ValueError):
         pair_fast(-1)
     with pytest.raises(ValueError):
@@ -251,15 +251,9 @@ def test_term_fibonacci_lucas_match_matrix_power(n):
 
 
 @settings(deadline=None)
-@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10 ** 4))
+@given(st.integers(min_value=1, max_value=12), INDICES)
 def test_term_gen_fibonacci_matches_matrix_power(a, n):
     assert term(gen_fibonacci(a), n) == fib_like(a, n)[1]
-
-
-@given(st.integers(min_value=1, max_value=12), st.integers(min_value=-10 ** 4, max_value=-1))
-def test_term_gen_fibonacci_rejects_negative_indices(a, n):
-    with pytest.raises(ValueError):
-        term(gen_fibonacci(a), n)
 
 
 @settings(deadline=None)

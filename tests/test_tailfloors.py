@@ -11,7 +11,6 @@ import pytest
 
 from balkit import (
     SHAPES,
-    CertifiedFloor,
     TailSpec,
     UndecidedIntervalError,
     bracket_tail,
@@ -236,6 +235,15 @@ def test_spec_validation_errors():
         TailSpec("B", "plain", l=0)
     with pytest.raises(ValueError):
         TailSpec("G", "gf_sq", a=0)
+    # l is read only by the plain shape and a only by the G family.
+    with pytest.raises(ValueError, match="only the plain shape"):
+        TailSpec("B", "alt", l=3)
+    with pytest.raises(ValueError, match="only the plain shape"):
+        TailSpec("G", "gf_sq", l=2, a=2)
+    with pytest.raises(ValueError, match="takes no parameter a"):
+        TailSpec("C", "plain", l=2, a=2)
+    with pytest.raises(ValueError, match="takes no parameter a"):
+        TailSpec("B", "alt", a=3)
     with pytest.raises(ValueError):
         bracket_tail(TailSpec("B", "alt"), 2, 0)
 
@@ -344,8 +352,6 @@ def test_certificate_takes_no_gcd_and_builds_no_fraction(monkeypatch):
 def test_certificate_interval_is_a_value():
     spec, n = TailSpec("C", "alt_oddprod"), 4
     cert = certify_floor(spec, n)
-    reduced = CertifiedFloor(cert.value, cert.terms, cert.interval)
     assert isinstance(cert.interval.lo, Fraction)
-    assert cert == reduced and not cert != reduced and hash(cert) == hash(reduced)
-    assert cert == (cert.value, cert.terms, refined_bracket(spec, n, cert.terms))
+    assert cert.interval == refined_bracket(spec, n, cert.terms)
     assert pickle.loads(pickle.dumps(cert)).interval == cert.interval
