@@ -35,23 +35,19 @@ from .quadfield import (
     GaussQuad,
     QuadRat,
     binet_pair,
-    certified_fraction,
     certified_int,
-    sqrt_of,
 )
 from .sequences import (
     BALANCING,
     FIBONACCI,
     LUCAS,
     LUCAS_BALANCING,
-    IndexedTerm,
     Sequence,
     family,
     gen_fibonacci,
     is_balancing,
     pair_fast,
     pair_mod,
-    stream,
     term,
     values,
 )

@@ -26,10 +26,6 @@ from . import verify
 SCHEMA_VERSION = 1
 
 
-class UsageError(ValueError):
-    """Bad parameter combination detected after argparse."""
-
-
 def __getattr__(name: str):
     # Importing the process pool costs more than most commands run, so it loads on first use.
     if name == "ProcessPoolExecutor":
@@ -58,21 +54,21 @@ def _emit(report: dict, args, text_lines: list[str]) -> None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
-            raise UsageError(f"cannot write report to {args.output}: {exc.strerror}") from None
+            raise ValueError(f"cannot write report to {args.output}: {exc.strerror}") from None
 
 
 # -- seq -----------------------------------------------------------------------
 
 def cmd_seq(args) -> tuple:
     family = seqs.family(args.family, args.a)
-    if args.start > args.stop:
-        raise UsageError(f"--from {args.start} exceeds --to {args.stop}")
-    items = [{"n": t.n, "value": str(t.value)}
-             for t in seqs.stream(family, args.start, args.stop)]
+    items = [{"n": n, "value": str(v)}
+             for n, v in enumerate(seqs.values(family, args.start, args.stop), args.start)]
     params = {"family": args.family, "from": args.start, "to": args.stop}
     if args.family == "G":
         params["a"] = args.a
-    return params, items, len(items), 0, [" ".join(i["value"] for i in items)]
+    # The text line is as large as the JSON report, so only text mode builds it.
+    lines = [" ".join(i["value"] for i in items)] if args.format == "text" else []
+    return params, items, len(items), 0, lines
 
 
 # -- gf ------------------------------------------------------------------------
@@ -131,7 +127,7 @@ def cmd_conv(args) -> tuple:
 
 def cmd_identity(args) -> tuple:
     if args.name not in verify.IDENTITY_GRIDS:
-        raise UsageError(f"unknown identity {args.name!r}; known: "
+        raise ValueError(f"unknown identity {args.name!r}; known: "
                          + ", ".join(sorted(verify.IDENTITY_GRIDS)))
     check, grid = verify.identity_sweep(args.name, args.max, args.max_prime)
     evaluate = partial(verify.failure, check)
@@ -160,12 +156,10 @@ _TAIL_NAMES = {f"{shape.replace('_', '-')}-{fam}": (fam, shape)
 
 def cmd_tailfloor(args) -> tuple:
     if args.spec not in _TAIL_NAMES:
-        raise UsageError(f"unknown tail spec {args.spec!r}; known: "
+        raise ValueError(f"unknown tail spec {args.spec!r}; known: "
                          + ", ".join(sorted(_TAIL_NAMES)))
     fam, shape = _TAIL_NAMES[args.spec]
     spec = tails.TailSpec(fam, shape, l=args.l, a=args.a)
-    if args.n < tails.threshold(spec):
-        raise UsageError(f"{args.spec} needs n >= {tails.threshold(spec)}, got {args.n}")
     item: dict = {"spec": args.spec, "n": args.n, "l": spec.l, "a": spec.a}
     lines = []
     failed = 0

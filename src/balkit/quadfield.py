@@ -77,12 +77,33 @@ class _Extension:
 
     __slots__ = ("_n", "_q", "d")
     __setattr__ = __delattr__ = _frozen
+    _below: tuple[type, ...]  # the types a part may have: ints, Fractions, the floor below
 
-    def __new__(cls, x, y, d: int):
-        """x + y*w from x and y in lowest terms; over lcm(q, r), so is the result."""
+    def __new__(cls, x, y, d: int | None = None):
+        """x + y*w from parts in lowest terms; over lcm(q, r), so is the result.
+        A float or a string is refused: it would round or parse, not stay exact.
+        d defaults to the radicand of a part from the floor below."""
+        for v in (x, y):
+            if not isinstance(v, cls._below):
+                raise TypeError(f"{cls.__name__} parts are "
+                                f"{', '.join(t.__name__ for t in cls._below)}, not {type(v).__name__}")
+            if isinstance(v, _Extension):
+                if d is None:
+                    d = v.d
+                elif v.d != d:
+                    raise ValueError(f"mixed radicands: sqrt({d}) vs sqrt({v.d})")
+        if d is None:
+            raise ValueError(f"{cls.__name__} of two rationals needs a radicand d")
+        _check_radicand(d)
         (n, q), (m, r) = _parts(x), _parts(y)
-        s = lcm(q, r)
-        return _make(cls, tuple([v * (s // q) for v in n] + [v * (s // r) for v in m]), s, d)
+        s, h = lcm(q, r), 2 if cls is GaussQuad else 1  # h numerators per part
+        return _make(cls, tuple([v * (s // q) for v in n] + [0] * (h - len(n))
+                                + [v * (s // r) for v in m] + [0] * (h - len(m))), s, d)
+
+    @classmethod
+    def of(cls, x, y, d: int | None = None):
+        """The same as cls(x, y, d)."""
+        return cls(x, y, d)
 
     def __reduce__(self):
         return _make, (type(self), self._n, self._q, self.d)
@@ -207,19 +228,12 @@ class QuadRat(_Extension):
     """a + b*sqrt(d) with rational a, b and squarefree d >= 2."""
 
     __slots__ = ()
+    _below = (int, Fraction)
     a = _x = property(lambda self: Fraction(self._n[0], self._q))
     b = property(lambda self: Fraction(self._n[1], self._q))
     __mul__ = __rmul__ = _Extension.__mul__
     __pow__ = _Extension.__pow__
     inverse = _Extension.inverse
-
-    def __new__(cls, a, b, d: int) -> QuadRat:
-        _check_radicand(d)
-        return super().__new__(cls, a, b, d)
-
-    @classmethod
-    def of(cls, a: int | Fraction, b: int | Fraction, d: int) -> QuadRat:
-        return cls(Fraction(a), Fraction(b), d)
 
     def __repr__(self) -> str:
         return f"QuadRat({self.a}, {self.b}, d={self.d})"
@@ -228,33 +242,16 @@ class QuadRat(_Extension):
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
-def sqrt_of(d: int) -> QuadRat:
-    """The element sqrt(d) itself."""
-    return QuadRat.of(0, 1, d)
-
-
 class GaussQuad(_Extension):
     """re + im*i with re, im in the same Q(sqrt(d))."""
 
     __slots__ = ()
+    _below = (int, Fraction, QuadRat)
     re = _x = property(lambda s: _make(QuadRat, s._n[:2], s._q, s.d, gcd(s._q, *s._n[:2])))
     im = property(lambda s: _make(QuadRat, s._n[2:], s._q, s.d, gcd(s._q, *s._n[2:])))
     __mul__ = __rmul__ = _Extension.__mul__
     __pow__ = _Extension.__pow__
     inverse = _Extension.inverse
-
-    def __new__(cls, re: QuadRat, im: QuadRat) -> GaussQuad:
-        if re.d != im.d:
-            raise ValueError("re and im must share the radicand")
-        return super().__new__(cls, re, im, re.d)
-
-    @classmethod
-    def of(cls, re, im, d: int | None = None) -> GaussQuad:
-        if not isinstance(re, QuadRat):
-            re = QuadRat.of(re, 0, d)
-        if not isinstance(im, QuadRat):
-            im = QuadRat.of(im, 0, re.d)
-        return cls(re, im)
 
     def __repr__(self) -> str:
         return f"GaussQuad({self.re!r}, {self.im!r})"
@@ -263,26 +260,17 @@ class GaussQuad(_Extension):
         return f"({self.re}) + ({self.im})*i"
 
 
-def certified_fraction(x: Fraction | QuadRat | GaussQuad) -> Fraction:
-    """Collapse x to a plain rational, raising CancellationError if any
-    sqrt(d) or imaginary component survives."""
-    if isinstance(x, GaussQuad):
-        if x.im.a != 0 or x.im.b != 0:
-            raise CancellationError(f"imaginary residue: {x}")
-        x = x.re
-    if isinstance(x, QuadRat):
-        if x.b != 0:
-            raise CancellationError(f"sqrt({x.d}) residue: {x}")
-        x = x.a
-    return x
-
-
-def certified_int(x: Fraction | QuadRat | GaussQuad) -> int:
-    """Collapse x to a rational integer, raising CancellationError on any residue."""
-    f = certified_fraction(x)
-    if f.denominator != 1:
-        raise CancellationError(f"non-integer value: {f}")
-    return int(f)
+def certified_int(x: int | Fraction | QuadRat | GaussQuad) -> int:
+    """Collapse x to a rational integer, raising CancellationError on any
+    imaginary or sqrt(d) residue or fractional part."""
+    n, q = _parts(x)
+    if any(n[2:]):
+        raise CancellationError(f"imaginary residue: {x}")
+    if any(n[1:]):
+        raise CancellationError(f"sqrt({x.d}) residue: {x if len(n) == 2 else x.re}")
+    if q != 1:
+        raise CancellationError(f"non-integer value: {Fraction(n[0], q)}")
+    return n[0]
 
 
 def binet_pair(n: int) -> tuple[int, int]:

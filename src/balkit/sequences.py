@@ -2,18 +2,13 @@
 Lucas, and generalized Fibonacci terms at arbitrary (including negative)
 indices.  All five are Lucas sequences, so one fast-doubling routine gives
 every term and the balancing pair, and one memo serves the modules that
-revisit indices; the linear stream stays as the independent route."""
+revisit indices; the linear pass in `values` stays as the independent route."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
-
-
-class IndexedTerm(NamedTuple):
-    n: int
-    value: int
 
 
 class Sequence(NamedTuple):
@@ -29,11 +24,10 @@ class Sequence(NamedTuple):
     add: int
     seed0: int
     seed1: int
-    param: int | None = None
 
     def __str__(self) -> str:
         if self.key == "gen-fibonacci":
-            return f"{self.key}({self.param})"
+            return f"{self.key}({self.mult})"
         return self.key
 
 
@@ -47,7 +41,7 @@ def gen_fibonacci(a: int) -> Sequence:
     """Sequence G(n) = a*G(n-1) + G(n-2), G(0)=0, G(1)=1, for integer a >= 1."""
     if a < 1:
         raise ValueError(f"gen-fibonacci parameter must be >= 1, got {a}")
-    return Sequence("gen-fibonacci", a, 1, 0, 1, param=a)
+    return Sequence("gen-fibonacci", a, 1, 0, 1)
 
 
 def family(letter: str, a: int = 1) -> Sequence:
@@ -122,21 +116,16 @@ def _memo(seq: Sequence, n: int) -> int:
     return term(seq, n)
 
 
-def stream(seq: Sequence, start: int, stop: int) -> list[IndexedTerm]:
+def values(seq: Sequence, start: int, stop: int) -> list[int]:
     """Terms for start <= n <= stop (inclusive) in one linear recurrence pass."""
     if start > stop:
         raise ValueError(f"empty range: start {start} > stop {stop}")
     prev, cur = term(seq, start), term(seq, start + 1)
-    out = [IndexedTerm(start, prev)]
-    for n in range(start + 1, stop + 1):
-        out.append(IndexedTerm(n, cur))
+    out = [prev]
+    for _ in range(stop - start):
+        out.append(cur)
         prev, cur = cur, seq.mult * cur + seq.add * prev
     return out
-
-
-def values(seq: Sequence, start: int, stop: int) -> list[int]:
-    """Bare values of stream(), for callers that index arithmetically."""
-    return [t.value for t in stream(seq, start, stop)]
 
 
 def pair_fast(n: int) -> tuple[int, int]:

@@ -10,15 +10,17 @@ tightening until the reciprocal floor is pinned down, never guessing.
 Two enclosures are provided.  bracket_tail is the textbook one, kept in
 Fractions as the reference: consecutive partial sums for alternating series,
 partial sum plus a geometric majorant for positive ones.  The certification
-path uses refined_bracket, which bounds the omitted remainder through a
-two-sided ratio interval: with r(m) = S(m+1)/S(m), the cross identity
-S(m-1)S(m+1) - S(m)^2 = kappa(m) gives r(m) - r(m-1) = kappa(m)/(S(m-1)S(m)),
-so for every m >= M the ratio stays within s(M) = |kappa| / (S(M)S(M+1)) / (1 - g)
-of r(M), where g bounds S(m-1)/S(m+1).  That pins consecutive remainder-term
-ratios inside an interval [u_lo, u_hi] and the remainder inside exact
-geometric bounds whose width shrinks like the square of the term size - tight
-enough to separate every floor within a handful of terms even when the true
-reciprocal hugs an integer boundary.
+path, certify_floor, runs the integer enclosure _enclose directly, and
+refined_bracket reads the same enclosure as Fractions.  It bounds the omitted
+remainder through a two-sided ratio interval: with r(m) = S(m+1)/S(m), the
+cross identity S(m-1)S(m+1) - S(m)^2 = kappa(m) gives
+r(m) - r(m-1) = kappa(m)/(S(m-1)S(m)), so for every m >= M the ratio stays
+within s(M) = |kappa| / (S(M)S(M+1)) / (1 - g) of r(M), where g bounds
+S(m-1)/S(m+1).  That pins consecutive remainder-term ratios inside an
+interval [u_lo, u_hi] and the remainder inside exact geometric bounds whose
+width shrinks like the square of the term size - tight enough to separate
+every floor within a handful of terms even when the true reciprocal hugs an
+integer boundary.
 
 The certificate runs on unreduced integer numerator/denominator pairs, each
 bound over a closed product of sequence values and the ratio interval's
@@ -57,8 +59,6 @@ class TailSpec(namedtuple("TailSpec", "family shape l a")):
     __slots__ = ()
 
     def __new__(cls, family: str, shape: str, l: int = 1, a: int = 1) -> TailSpec:
-        if family not in ("B", "C", "G"):
-            raise ValueError(f"unknown family {family!r}")
         if shape not in SHAPES:
             raise ValueError(f"unknown shape {shape!r}")
         if family not in SHAPES[shape].families:

@@ -50,7 +50,7 @@ def _agree(lhs, rhs) -> ident.Verdict:
 
 
 def kernel():
-    """Fast doubling and Binet against the linear stream; C(n)^2 - 8B(n)^2 = 1."""
+    """Fast doubling and Binet against the linear pass of `values`; C(n)^2 - 8B(n)^2 = 1."""
     bs = seqs.values(seqs.BALANCING, 0, 5001)
     cs = seqs.values(seqs.LUCAS_BALANCING, 0, 5001)
 

@@ -366,6 +366,44 @@ def test_cli_import_skips_pool_and_dataclasses():
     assert heavy.isdisjoint(out)
 
 
+def test_seq_json_memory_stays_near_the_report(tmp_path):
+    # The text line is as large as the JSON report, so JSON mode must not build
+    # it: the traced peak was 4.3x the report with it and is 3.35x without.
+    import balkit
+
+    src = os.path.dirname(os.path.dirname(balkit.__file__))
+    report = tmp_path / "report.json"
+    probe = (
+        "import sys, tracemalloc\n"
+        "from balkit.cli import main\n"
+        f"sys.stdout = open({str(report)!r}, 'w')\n"
+        "tracemalloc.start()\n"
+        "code = main(['seq', 'B', '--from', '0', '--to', '5000', '--format', 'json'])\n"
+        "print(code, tracemalloc.get_traced_memory()[1], file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    code, peak = map(int, proc.stderr.split())
+    assert code == 0 and report.stat().st_size > 9e6
+    assert peak < 3.8 * report.stat().st_size, (peak, report.stat().st_size)
+
+
+def test_verify_all_needs_no_test_dependencies():
+    # The test extra (sympy, hypothesis, pytest) is never a runtime import: the
+    # plan must pass where importing any of them fails, as in a bare install.
+    import balkit
+
+    src = os.path.dirname(os.path.dirname(balkit.__file__))
+    probe = ("import sys\n"
+             "sys.modules.update(sympy=None, hypothesis=None, pytest=None)\n"
+             "from balkit.cli import main\n"
+             "sys.exit(main(['verify-all', '--format', 'json']))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["summary"] == {"checked": 40010, "passed": 40010, "failed": 0}
+
+
 def test_cancellation_failure_exit_1(tmp_path, capsys, monkeypatch):
     from balkit import convolutions
     from balkit.quadfield import QuadRat

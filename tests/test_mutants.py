@@ -1,15 +1,33 @@
 """Mutant tests: a wrong closed-form constant must fail the verification plan.
 
-Each mutant shifts one tail-floor offset by one and runs the tailfloors unit of
-`balkit verify-all`.  A mutant that passed would mean the plan's grid never
-reaches the closed form that the constant belongs to.
+Each mutant changes one constant of a closed form (a tail-floor offset or
+backbone sign, a convolution row's sign, a generating-function coefficient, or
+a constant on the right of an identity) and runs the unit of `balkit
+verify-all` that checks it.  A mutant that passed would mean the plan's grid
+never reaches the closed form that the constant belongs to: the grid is then
+fixed, never the mutant.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
+from functools import lru_cache
+
 import pytest
 
-from balkit import tailfloors, verify
+from balkit import convolutions, genfunc, identities, tailfloors, verify
+
+
+def caught(cases, count=None):
+    """verify.run over a unit's cases; asserts that it ran whole and failed."""
+    checked, failed, witness, skipped = verify.run(cases)
+    assert not skipped and (count is None or checked == count)
+    assert failed > 0 and witness is not None, f"mutant survived {checked} checks"
+    return witness
+
+
+# -- tail floors ----------------------------------------------------------------
 
 MUTANTS = [(key, parity, delta) for key in tailfloors._OFFSETS
            for parity in (0, 1) for delta in (-1, 1)]
@@ -30,12 +48,153 @@ def test_shifted_tail_offset_fails_the_plan(monkeypatch, key, parity, delta):
     offsets = list(tailfloors._OFFSETS[key])
     offsets[parity] += delta
     monkeypatch.setitem(tailfloors._OFFSETS, key, tuple(offsets))
-    checked, failed, witness, skipped = verify.run(verify.tailfloors())
-    assert (checked, skipped) == (895, False)
-    assert failed > 0 and witness is not None
-    spec, n = witness["params"]
+    spec, n = caught(verify.tailfloors(), 895)["params"]
     family = key if isinstance(key, str) else key[0]
     assert f"family='{family}'" in spec
     if not isinstance(key, str):
         assert f"shape='{key[1]}'" in spec
     assert n % 2 == parity
+
+
+def backbone_mutants() -> dict:
+    """Each SHAPES backbone with the sign between its two terms flipped, or
+    negated where it is one product (gf_sq), recompiled from the source."""
+    tree = ast.parse(inspect.getsource(tailfloors))
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.AnnAssign) and node.target.id == "SHAPES")
+    mutants = {}
+    for key, row in zip(table.keys, table.values):
+        backbone = row.args[4]
+        body = backbone.body
+        if isinstance(body, ast.BinOp) and isinstance(body.op, (ast.Add, ast.Sub)):
+            body.op = ast.Sub() if isinstance(body.op, ast.Add) else ast.Add()
+        else:
+            backbone.body = ast.UnaryOp(ast.USub(), body)
+        expr = ast.fix_missing_locations(ast.Expression(backbone))
+        mutants[key.value] = eval(compile(expr, tailfloors.__file__, "eval"), vars(tailfloors))
+    return mutants
+
+
+BACKBONES = backbone_mutants()
+
+
+def test_every_shape_has_a_backbone_mutant():
+    assert BACKBONES.keys() == tailfloors.SHAPES.keys()
+
+
+@pytest.mark.parametrize("shape", BACKBONES)
+def test_flipped_backbone_fails_the_plan(monkeypatch, shape):
+    row = tailfloors.SHAPES[shape]
+    monkeypatch.setitem(tailfloors.SHAPES, shape, row._replace(backbone=BACKBONES[shape]))
+    spec, _ = caught(verify.tailfloors(), 895)["params"]
+    assert f"shape='{shape}'" in spec
+
+
+# -- convolutions ---------------------------------------------------------------
+
+ROW_MUTANTS = {
+    "subtract": lambda subtract, a1, l1, a2, l2: (not subtract, a1, l1, a2, l2),
+    "rot sign": lambda subtract, a1, l1, a2, l2: (subtract, a1, -l1, a2, -l2),
+}
+
+
+@pytest.mark.parametrize("name", ROW_MUTANTS)
+def test_mutated_convolution_row_fails_the_plan(monkeypatch, name):
+    # A fresh cache over the uncached row: the mutant keeps its own running sums.
+    row = convolutions._row.__wrapped__
+
+    @lru_cache(maxsize=None)
+    def mutant(seq, k, r):
+        *weights, last = row(seq, k, r)
+        return (*ROW_MUTANTS[name](*weights), last)
+
+    monkeypatch.setattr(convolutions, "_row", mutant)
+    caught(verify.convolutions(), 2460)
+
+
+# -- generating functions ----------------------------------------------------------
+
+@pytest.mark.parametrize("part, index", [("numer", 1), ("denom", 1), ("denom", 2)])
+def test_negated_gf_coefficient_fails_the_plan(monkeypatch, part, index):
+    gf = genfunc.gf
+
+    def mutant(seq, k, r):
+        g = gf(seq, k, r)
+        coeffs = list(getattr(g, part))
+        coeffs[index] = -coeffs[index]
+        return g._replace(**{part: tuple(coeffs)})
+
+    monkeypatch.setattr(genfunc, "gf", mutant)
+    caught(verify.genfunc(), 144)
+
+
+# -- identities -------------------------------------------------------------------
+
+def recompiled(check, old: str, new: str):
+    """`check` with its one expression that reads `old` replaced by `new`."""
+    tree = ast.parse(inspect.getsource(check))
+    hits = []
+
+    class Swap(ast.NodeTransformer):
+        def visit(self, node):
+            if isinstance(node, ast.expr) and ast.unparse(node) == old:
+                hits.append(node)
+                return ast.parse(new, mode="eval").body
+            return self.generic_visit(node)
+
+    tree = ast.fix_missing_locations(Swap().visit(tree))
+    assert len(hits) == 1, f"{old!r} occurs {len(hits)} times in {check.__name__}"
+    scope = dict(vars(identities))  # the mutant sees the module; the module keeps its check
+    exec(compile(tree, identities.__file__, "exec"), scope)
+    return scope[check.__name__]
+
+
+# (identity name in verify.IDENTITY_GRIDS, expression, its mutant)
+IDENTITY_MUTANTS = [
+    ("second-order-product", "-35", "-36"),
+    ("binomial-plain", "8 ** n", "9 ** n"),
+    ("binomial-plain", "4 ** n", "5 ** n"),
+    ("binomial-3pow", "2 ** (3 * n // 2) * B(n)", "2 ** (4 * n // 2) * B(n)"),
+    ("binomial-3pow", "2 ** (3 * n // 2) * C(n)", "2 ** (4 * n // 2) * C(n)"),
+    ("binomial-3pow", "2 ** (3 * (n - 1) // 2) * C(n)", "2 ** (4 * (n - 1) // 2) * C(n)"),
+    ("binomial-3pow", "2 ** (3 * (n + 1) // 2) * B(n)", "2 ** (4 * (n + 1) // 2) * B(n)"),
+    ("prime-congruence", "3 % p", "4 % p"),
+    ("mod-companion", "1 % cm", "2 % cm"),
+    ("catalan", "C(n) ** 2 + C(r) ** 2 - 1", "C(n) ** 2 + C(r) ** 2 - 2"),
+]
+
+# Identities that verify-all does not run; their mutants are checked on the
+# CLI's default grid (--max 40 --max-prime 1000) instead.
+PLAN_GAP_MUTANTS = [
+    ("odd-sum", "B(2 * i - 1)", "B(2 * i + 1)"),
+    ("shifted-product", "B(a + b + 1)", "B(a + b + 2)"),
+    ("addition", "cn * cm + 8 * bm * bn", "cn * cm + 7 * bm * bn"),
+    ("addition", "cn * cm - 8 * bm * bn", "cn * cm - 7 * bm * bn"),
+    ("combination", "2 * B(n) * C(m)", "3 * B(n) * C(m)"),
+    ("combination", "2 * C(n) * C(m)", "3 * C(n) * C(m)"),
+]
+
+
+def bind_mutant(monkeypatch, name, old, new):
+    attr = verify.IDENTITY_GRIDS[name][0]
+    monkeypatch.setattr(identities, attr, recompiled(getattr(identities, attr), old, new))
+
+
+@pytest.mark.parametrize("name, old, new", IDENTITY_MUTANTS, ids=lambda v: v)
+def test_identity_constant_fails_the_plan(monkeypatch, name, old, new):
+    bind_mutant(monkeypatch, name, old, new)
+    witness = caught(case for case in verify.identities() if case[0] == name)
+    assert witness["label"].startswith(name)
+
+
+def test_plan_gap_is_what_the_cli_grid_covers():
+    planned = {case[0] for case in verify.identities()}
+    gap = {name for name, _, _ in PLAN_GAP_MUTANTS}
+    assert planned.isdisjoint(gap) and planned | gap == verify.IDENTITY_GRIDS.keys()
+
+
+@pytest.mark.parametrize("name, old, new", PLAN_GAP_MUTANTS, ids=lambda v: v)
+def test_identity_constant_outside_the_plan_fails_the_cli_grid(monkeypatch, name, old, new):
+    bind_mutant(monkeypatch, name, old, new)
+    check, grid = verify.identity_sweep(name, 40, 1000)
+    caught(((name, check, params) for params in grid), len(grid))

@@ -19,9 +19,7 @@ from balkit import (
     GaussQuad,
     QuadRat,
     binet_pair,
-    certified_fraction,
     certified_int,
-    sqrt_of,
     term,
 )
 
@@ -60,8 +58,8 @@ def test_inverse_examples():
 
 def test_sqrt_squares_to_radicand():
     for d in (2, 5):
-        assert sqrt_of(d) * sqrt_of(d) == d
-        assert sqrt_of(d) ** 2 == d
+        assert QuadRat.of(0, 1, d) * QuadRat.of(0, 1, d) == d
+        assert QuadRat.of(0, 1, d) ** 2 == d
 
 
 def test_field_axioms_random():
@@ -133,14 +131,14 @@ def test_binet_matches_kernel():
 def test_certified_extraction():
     assert certified_int(Fraction(7)) == 7
     assert certified_int(QuadRat.of(-4, 0, 2)) == -4
-    assert certified_fraction(GaussQuad.of(QuadRat.of(Fraction(3, 2), 0, 5),
-                                           QuadRat.of(0, 0, 5))) == Fraction(3, 2)
     with pytest.raises(CancellationError):
         certified_int(QuadRat.of(1, Fraction(1, 10 ** 9), 2))
     with pytest.raises(CancellationError):
         certified_int(GaussQuad.of(QuadRat.of(1, 0, 2), QuadRat.of(1, 0, 2)))
     with pytest.raises(CancellationError):
         certified_int(Fraction(1, 2))
+    with pytest.raises(CancellationError):
+        certified_int(GaussQuad.of(QuadRat.of(Fraction(3, 2), 0, 5), QuadRat.of(0, 0, 5)))
 
 
 def test_hash_consistent_with_equality():
@@ -169,6 +167,28 @@ def test_domain_errors():
         GaussQuad.of(QuadRat.of(0, 0, 5), QuadRat.of(0, 0, 5)) ** -1
     with pytest.raises(ValueError):
         GaussQuad(QuadRat.of(1, 0, 2), QuadRat.of(1, 0, 5))
+
+
+@pytest.mark.parametrize("build, parts, rejected", [
+    (QuadRat.of, (0.1, 0, 2), "float"),
+    (QuadRat.of, ("1/3", 0, 2), "str"),
+    (GaussQuad.of, (0.5, 0, 2), "float"),
+    (QuadRat, (0, 0.5, 2), "float"),
+    (QuadRat, (QuadRat.of(1, 1, 2), 0, 2), "QuadRat"),
+    (GaussQuad, (QuadRat.of(1, 1, 2), GaussQuad.of(0, 1, 2)), "GaussQuad"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_constructors_take_only_exact_parts(build, parts, rejected):
+    # A float would be rounded and a string parsed; a part from the same floor is no part.
+    with pytest.raises(TypeError, match=rf"parts are .*, not {rejected}$"):
+        build(*parts)
+
+
+def test_constructors_lift_rationals():
+    assert GaussQuad(Fraction(1, 2), QuadRat.of(0, 1, 3)) == GaussQuad.of(
+        QuadRat.of(Fraction(1, 2), 0, 3), QuadRat.of(0, 1, 3))
+    assert GaussQuad(1, 2, 5).im == 2 and QuadRat(True, 0, 2) == 1
+    with pytest.raises(ValueError, match="needs a radicand"):
+        GaussQuad(1, 2)
 
 
 # -- properties of the merged tower, against sympy ----------------------------

@@ -19,7 +19,7 @@ PACKAGE = os.path.dirname(balkit.__file__)
 # Keyed on code objects, not names: one SHAPES row can hold two lambdas on one
 # line, and every <genexpr> shares a name.
 SHARED = {
-    # the term kernel, which the kernel unit checks against the linear stream
+    # the term kernel, which the kernel unit checks against the linear pass of `values`
     sequences.term.__code__,
     sequences._memo.__wrapped__.__code__,
     sequences._lucas_u.__code__,
