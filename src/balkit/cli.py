@@ -126,9 +126,6 @@ def cmd_conv(args) -> tuple:
 # -- identity ------------------------------------------------------------------
 
 def cmd_identity(args) -> tuple:
-    if args.name not in verify.IDENTITY_GRIDS:
-        raise ValueError(f"unknown identity {args.name!r}; known: "
-                         + ", ".join(sorted(verify.IDENTITY_GRIDS)))
     check, grid = verify.identity_sweep(args.name, args.max, args.max_prime)
     evaluate = partial(verify.failure, check)
     # The pool class is read through the module, so one bound there after import is used.

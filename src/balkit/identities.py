@@ -2,33 +2,36 @@
 
 Every checker evaluates both sides of its identity in exact integer
 arithmetic over caller-supplied parameters and returns a Verdict; a failing
-Verdict carries the first counterexample as (label, params, lhs, rhs).
+Verdict carries the first counterexample as (label, lhs, rhs).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import NamedTuple
 
 from .sequences import BALANCING, LUCAS_BALANCING, _memo, pair_mod
 
 
 class Verdict(NamedTuple):
-    holds: bool
-    witness: tuple | None = None
+    witness: tuple | None = None  # the first failed equality (label, lhs, rhs), if any
 
-    # A plain tuple of two fields is always truthy; a Verdict is as true as it holds.
+    # A plain one-field tuple is always truthy; a Verdict is as true as it holds.
     def __bool__(self) -> bool:
-        return self.holds
+        return self.witness is None
+    holds = property(__bool__)
+
+
+_PASS = Verdict()
 
 
 def _verdict(equalities) -> Verdict:
-    """Fold (label, params, lhs, rhs) equalities into a Verdict."""
-    for label, params, lhs, rhs in equalities:
+    """Fold (label, lhs, rhs) equalities into the first that fails, or the shared pass."""
+    for label, lhs, rhs in equalities:
         if lhs != rhs:
-            return Verdict(False, (label, params, lhs, rhs))
-    return Verdict(True)
+            return Verdict((label, lhs, rhs))
+    return _PASS
 
 
 # B(n) and C(n) of the docstrings, read through the shared term memo.
@@ -41,8 +44,8 @@ def check_catalan(n: int, r: int) -> Verdict:
     if not n >= r >= 0:
         raise ValueError(f"need n >= r >= 0, got n={n}, r={r}")
     return _verdict([
-        ("B", (n, r), B(n - r) * B(n + r), B(n) ** 2 - B(r) ** 2),
-        ("C", (n, r), C(n - r) * C(n + r), C(n) ** 2 + C(r) ** 2 - 1),
+        ("B", B(n - r) * B(n + r), B(n) ** 2 - B(r) ** 2),
+        ("C", C(n - r) * C(n + r), C(n) ** 2 + C(r) ** 2 - 1),
     ])
 
 
@@ -51,16 +54,14 @@ def check_odd_index_sum(n: int) -> Verdict:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     total = sum(B(2 * i - 1) for i in range(1, n + 1))
-    return _verdict([("sum", (n,), total, B(n) ** 2)])
+    return _verdict([("sum", total, B(n) ** 2)])
 
 
 def check_shifted_product(a: int, b: int) -> Verdict:
     """B(a+b+1) = B(a+1)B(b+1) - B(a)B(b)."""
     if a < 0 or b < 0:
         raise ValueError(f"need a, b >= 0, got a={a}, b={b}")
-    return _verdict([
-        ("B", (a, b), B(a + b + 1), B(a + 1) * B(b + 1) - B(a) * B(b)),
-    ])
+    return _verdict([("B", B(a + b + 1), B(a + 1) * B(b + 1) - B(a) * B(b))])
 
 
 def check_addition(m: int, n: int) -> Verdict:
@@ -70,10 +71,10 @@ def check_addition(m: int, n: int) -> Verdict:
         raise ValueError(f"need n >= m >= 0, got m={m}, n={n}")
     bm, bn, cm, cn = B(m), B(n), C(m), C(n)
     return _verdict([
-        ("B+", (m, n), B(n + m), bn * cm + bm * cn),
-        ("B-", (m, n), B(n - m), bn * cm - bm * cn),
-        ("C+", (m, n), C(n + m), cn * cm + 8 * bm * bn),
-        ("C-", (m, n), C(n - m), cn * cm - 8 * bm * bn),
+        ("B+", B(n + m), bn * cm + bm * cn),
+        ("B-", B(n - m), bn * cm - bm * cn),
+        ("C+", C(n + m), cn * cm + 8 * bm * bn),
+        ("C-", C(n - m), cn * cm - 8 * bm * bn),
     ])
 
 
@@ -84,8 +85,8 @@ def check_combination(m: int, n: int) -> Verdict:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     b_rhs = -B(n - m) if n >= m else B(m - n)
     return _verdict([
-        ("B", (m, n), B(n + m) - 2 * B(n) * C(m), b_rhs),
-        ("C", (m, n), C(n + m) - 2 * C(n) * C(m), -C(abs(n - m))),
+        ("B", B(n + m) - 2 * B(n) * C(m), b_rhs),
+        ("C", C(n + m) - 2 * C(n) * C(m), -C(abs(n - m))),
     ])
 
 
@@ -93,7 +94,7 @@ def check_gcd(m: int, n: int) -> Verdict:
     """gcd(B(m), B(n)) = B(gcd(m, n))."""
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    return _verdict([("gcd", (m, n), gcd(B(m), B(n)), B(gcd(m, n)))])
+    return _verdict([("gcd", gcd(B(m), B(n)), B(gcd(m, n)))])
 
 
 def is_prime(n: int) -> bool:
@@ -126,7 +127,7 @@ def primes_up_to(limit: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit ** 0.5) + 1):
+    for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray((limit - p * p) // p + 1)
     return [i for i, flag in enumerate(sieve) if flag]
@@ -144,10 +145,7 @@ def check_prime_congruences(p: int) -> Verdict:
     """C(p) = 3 (mod p) and B(p) = kronecker_p8(p) (mod p) for odd primes."""
     sign = kronecker_p8(p)
     bp, cp = pair_mod(p, p)
-    return _verdict([
-        ("C", (p,), cp % p, 3 % p),
-        ("B", (p,), bp % p, sign % p),
-    ])
+    return _verdict([("C", cp % p, 3 % p), ("B", bp % p, sign % p)])
 
 
 def check_mod_companion(m: int) -> Verdict:
@@ -155,10 +153,7 @@ def check_mod_companion(m: int) -> Verdict:
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     cm = C(m)
-    return _verdict([
-        ("B2m", (m,), B(2 * m) % cm, 0),
-        ("B2m-1", (m,), B(2 * m - 1) % cm, 1 % cm),
-    ])
+    return _verdict([("B2m", B(2 * m) % cm, 0), ("B2m-1", B(2 * m - 1) % cm, 1 % cm)])
 
 
 def check_binomial_3pow(n: int) -> Verdict:
@@ -175,7 +170,7 @@ def check_binomial_3pow(n: int) -> Verdict:
     else:
         rb = 2 ** (3 * (n - 1) // 2) * C(n)
         rc = 2 ** (3 * (n + 1) // 2) * B(n)
-    return _verdict([("B", (n,), sb, rb), ("C", (n,), sc, rc)])
+    return _verdict([("B", sb, rb), ("C", sc, rc)])
 
 
 def check_binomial_plain(n: int) -> Verdict:
@@ -187,8 +182,8 @@ def check_binomial_plain(n: int) -> Verdict:
     for label, f in (("B", B), ("C", C)):
         plain = sum(comb(2 * n, k) * f(k) for k in range(2 * n + 1))
         alt = sum(comb(2 * n, k) * (-1) ** k * f(k) for k in range(2 * n + 1))
-        eqs.append((label + "+", (n,), plain, 8 ** n * f(n)))
-        eqs.append((label + "-", (n,), alt, 4 ** n * f(n)))
+        eqs.append((label + "+", plain, 8 ** n * f(n)))
+        eqs.append((label + "-", alt, 4 ** n * f(n)))
     return _verdict(eqs)
 
 
@@ -196,6 +191,4 @@ def check_second_order_product(n: int) -> Verdict:
     """B(n)B(n-4) - B(n-1)B(n-3) = -35 for n >= 4."""
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    return _verdict([
-        ("B", (n,), B(n) * B(n - 4) - B(n - 1) * B(n - 3), -35),
-    ])
+    return _verdict([("B", B(n) * B(n - 4) - B(n - 1) * B(n - 3), -35)])

@@ -263,7 +263,10 @@ class GaussQuad(_Extension):
 def certified_int(x: int | Fraction | QuadRat | GaussQuad) -> int:
     """Collapse x to a rational integer, raising CancellationError on any
     imaginary or sqrt(d) residue or fractional part."""
-    n, q = _parts(x)
+    if (parts := _parts(x)) is None:
+        raise TypeError("certified_int takes an int, a Fraction or a field element, "
+                        f"not {type(x).__name__}")
+    n, q = parts
     if any(n[2:]):
         raise CancellationError(f"imaginary residue: {x}")
     if any(n[1:]):

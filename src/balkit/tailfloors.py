@@ -192,9 +192,6 @@ def bracket_tail(spec: TailSpec, n: int, terms: int) -> Interval:
     return Interval(total, total + ts[terms] * num ** steps / (num ** steps - den ** steps))
 
 
-_CROSS_CONSTANT = {"B": 1, "C": 8, "G": 1}  # |S(m-1)S(m+1) - S(m)^2|
-
-
 def _enclose(spec: TailSpec, n: int, terms: int) -> tuple[int, int, int, int]:
     """refined_bracket as integers (lo_num, lo_den, hi_num, hi_den), positive
     denominators.  With s0 = S(M), s1 = S(M+1) and g = gn/gd, S(m+1)/S(m) lies in
@@ -220,7 +217,8 @@ def _enclose(spec: TailSpec, n: int, terms: int) -> tuple[int, int, int, int]:
     M = min(idxs[terms])
     s0, s1, gn, gd = S(M), S(M + 1), bd * bd, bn * bn
     bq = (gd - gn) * s0 * s1
-    am, ap = ((gd - gn) * s1 * s1 + e * _CROSS_CONSTANT[spec.family] * gd for e in (-1, 1))
+    kappa = abs(S(0) * S(2) - S(1) ** 2)  # = |S(m-1)S(m+1) - S(m)^2| for every m, as Q = +-1
+    am, ap = ((gd - gn) * s1 * s1 + e * kappa * gd for e in (-1, 1))
     if am > bq:  # else the ratio interval reaches 1: keep the simple bracket
         am, ap, bq = am ** steps, ap ** steps, bq ** steps
         if shape.alternating:

@@ -38,15 +38,14 @@ IDENTITY_GRIDS = {
 
 def identity_sweep(name: str, max: int, max_prime: int) -> tuple:
     """The named identity's check and its grid up to max (or max_prime)."""
+    if name not in IDENTITY_GRIDS:
+        raise ValueError(f"unknown identity {name!r}; known: " + ", ".join(sorted(IDENTITY_GRIDS)))
     check, grid = IDENTITY_GRIDS[name]
     return getattr(ident, check), grid(max, max_prime)
 
 
-_HOLDS = ident.Verdict(True)
-
-
 def _agree(lhs, rhs) -> ident.Verdict:
-    return _HOLDS if lhs == rhs else ident.Verdict(False, ("", (), lhs, rhs))
+    return ident._verdict([("", lhs, rhs)])
 
 
 def kernel():
@@ -140,7 +139,7 @@ def failure(check, *args) -> dict | None:
         return {"error": str(exc)}
     if verdict.holds:
         return None
-    equality, _, lhs, rhs = verdict.witness
+    equality, lhs, rhs = verdict.witness
     return {"equality": equality, "lhs": str(lhs), "rhs": str(rhs)}
 
 

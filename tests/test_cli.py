@@ -145,6 +145,13 @@ def test_identity_unknown_exit_2(capsys):
     assert "unknown identity" in err
 
 
+def test_identity_registry_rejects_an_unknown_name():
+    from balkit.verify import identity_sweep
+
+    with pytest.raises(ValueError, match=r"unknown identity 'bogus'; known: addition, .*gcd"):
+        identity_sweep("bogus", 40, 1000)
+
+
 def test_tailfloor_certify(capsys):
     code, out, _ = run(capsys, "tailfloor", "alt-B", "--n", "2", "--mode", "certify")
     assert code == 0

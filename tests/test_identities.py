@@ -128,17 +128,17 @@ def test_failing_verdict_carries_witness():
     # A deliberately wrong instance through the same fold the checks use.
     from balkit.identities import _verdict
 
-    v = _verdict([("demo", (1, 2), 3, 4)])
-    assert not v.holds and not v
-    assert v.witness == ("demo", (1, 2), 3, 4)
-    assert Verdict(True).witness is None
-    # Verdicts are immutable values that come back from pool workers by pickle.
-    assert bool(Verdict(False, v.witness)) is False and bool(Verdict(True)) is True
-    same = Verdict(False, ("demo", (1, 2), 3, 4))
-    assert v == same and hash(v) == hash(same)
+    v = _verdict([("ok", 2, 2), ("demo", 3, 4), ("later", 5, 6)])
+    assert v.holds is False and bool(v) is False
+    assert v.witness == ("demo", 3, 4)
+    assert Verdict().holds is True and bool(Verdict()) is True and Verdict().witness is None
+    assert _verdict([("ok", 2, 2)]) == Verdict()
+    same = Verdict(("demo", 3, 4))
+    assert v == same and hash(v) == hash(same) and v != Verdict()
     assert pickle.loads(pickle.dumps(v)) == v
-    with pytest.raises(AttributeError):
-        v.holds = True
+    for field in ("holds", "witness"):
+        with pytest.raises(AttributeError):
+            setattr(v, field, None)
 
 
 def test_is_prime():

@@ -141,6 +141,12 @@ def test_certified_extraction():
         certified_int(GaussQuad.of(QuadRat.of(Fraction(3, 2), 0, 5), QuadRat.of(0, 0, 5)))
 
 
+@pytest.mark.parametrize("value, name", [(0.5, "float"), ("3", "str")])
+def test_certified_extraction_names_a_rejected_type(value, name):
+    with pytest.raises(TypeError, match=f"not {name}$"):
+        certified_int(value)
+
+
 def test_hash_consistent_with_equality():
     q = QuadRat.of(Fraction(7, 3), 0, 2)
     assert hash(q) == hash(Fraction(7, 3))

@@ -4,6 +4,7 @@ checked against."""
 
 from __future__ import annotations
 
+import ast
 import os
 import sys
 
@@ -77,6 +78,18 @@ def test_convolution_routes_share_only_the_kernel(seq, k, r):
 ], ids=["plain-B-l2", "alt-oddprod-C", "gf-sq-G-a2"])
 def test_tail_floor_routes_share_only_the_kernel(spec):
     _audit(tailfloors.closed_floor, tailfloors.verified_floor, (spec, 6))
+
+
+def test_no_float_literal_in_the_exact_core():
+    # float("inf") in a deadline is a call on a string, not a literal.
+    floats = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            floats += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                       if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    assert floats == []
 
 
 def test_generating_function_routes_share_only_the_kernel():
