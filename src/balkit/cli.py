@@ -97,36 +97,48 @@ def cmd_gf(args) -> tuple:
 
 # -- conv ----------------------------------------------------------------------
 
+def _run_routes(item: dict, mode: str, routes: dict) -> tuple[int, list[str]]:
+    """conv and tailfloor: run the route `mode` names, or both, each returning
+    (value, text note).  The first ArithmeticError ends the item; item["ok"]
+    is set when both routes ran.  Returns (failed, text lines)."""
+    width = max(map(len, routes)) + 1
+    lines = []
+    for name in [mode] if mode in routes else routes:
+        try:
+            value, note = routes[name]()
+        except ArithmeticError as exc:
+            key = "undecided" if isinstance(exc, tails.UndecidedIntervalError) else "error"
+            item[key] = str(exc)
+            return 1, lines + [f"{key}: {exc}"]
+        item[name] = str(value)
+        lines.append(f"{name:<{width}}{value}{note}")
+    if mode in routes:
+        return 0, lines
+    first, second = routes
+    item["ok"] = item[first] == item[second]
+    return 0 if item["ok"] else 1, lines + ["match" if item["ok"] else "MISMATCH"]
+
+
 def cmd_conv(args) -> tuple:
     family = seqs.family(args.family)
     item: dict = {"k": args.k, "r": args.r, "n": args.n}
-    lines = []
-    failed = 0
-    try:
-        if args.method in ("brute", "both"):
-            b = conv.brute_conv(family, args.k, args.r, args.n)
-            item["brute"] = str(b)
-            lines.append(f"brute  {b}")
-        if args.method in ("closed", "both"):
-            c = conv.conv_closed(family, args.k, args.r, args.n)
-            item["closed"] = str(c)
-            lines.append(f"closed {c}")
-    except ArithmeticError as exc:
-        item["error"] = str(exc)
-        failed = 1
-        lines.append(f"error: {exc}")
-    else:
-        if args.method == "both":
-            item["ok"] = item["brute"] == item["closed"]
-            failed = 0 if item["ok"] else 1
-            lines.append("match" if item["ok"] else "MISMATCH")
+    failed, lines = _run_routes(item, args.method, {
+        "brute": lambda: (conv.brute_conv(family, args.k, args.r, args.n), ""),
+        "closed": lambda: (conv.conv_closed(family, args.k, args.r, args.n), "")})
     return {"family": args.family, "method": args.method}, [item], 1, failed, lines
 
 
 # -- identity ------------------------------------------------------------------
 
+_BOUNDS = {"max": 40, "max_prime": 1000}  # the defaults of --max and --max-prime
+
+
 def cmd_identity(args) -> tuple:
     check, grid = verify.identity_sweep(args.name, args.max, args.max_prime)
+    # A sweep reads one bound; the other is a usage error unless it keeps its default.
+    for bound, default in _BOUNDS.items():
+        if bound != verify.IDENTITY_GRIDS[args.name][1] and getattr(args, bound) != default:
+            raise ValueError(f"{args.name} does not read --{bound.replace('_', '-')}")
     evaluate = partial(verify.failure, check)
     # The pool class is read through the module, so one bound there after import is used.
     if args.jobs > 1 and len(grid) >= 256:
@@ -158,27 +170,15 @@ def cmd_tailfloor(args) -> tuple:
     fam, shape = _TAIL_NAMES[args.spec]
     spec = tails.TailSpec(fam, shape, l=args.l, a=args.a)
     item: dict = {"spec": args.spec, "n": args.n, "l": spec.l, "a": spec.a}
-    lines = []
-    failed = 0
-    try:
-        if args.mode in ("closed", "certify"):
-            c = tails.closed_floor(spec, args.n)
-            item["closed"] = str(c)
-            lines.append(f"closed   {c}")
-        if args.mode in ("verified", "certify"):
-            cert = tails.certify_floor(spec, args.n)
-            item["verified"] = str(cert.value)
-            item["terms"] = cert.terms
-            lines.append(f"verified {cert.value}  ({cert.terms} terms)")
-        if args.mode == "certify":
-            item["ok"] = item["closed"] == item["verified"]
-            failed = 0 if item["ok"] else 1
-            lines.append("match" if item["ok"] else "MISMATCH")
-    except ArithmeticError as exc:
-        key = "undecided" if isinstance(exc, tails.UndecidedIntervalError) else "error"
-        item[key] = str(exc)
-        failed = 1
-        lines.append(f"{key}: {exc}")
+
+    def verified():
+        cert = tails.certify_floor(spec, args.n)
+        item["terms"] = cert.terms
+        return cert.value, f"  ({cert.terms} terms)"
+
+    failed, lines = _run_routes(item, args.mode,
+                                {"closed": lambda: (tails.closed_floor(spec, args.n), ""),
+                                 "verified": verified})
     return {"spec": args.spec, "mode": args.mode}, [item], 1, failed, lines
 
 
@@ -249,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity", help="sweep one identity over a parameter grid")
     p.add_argument("name")
-    p.add_argument("--max", type=int, default=40)
-    p.add_argument("--max-prime", dest="max_prime", type=int, default=1000)
+    p.add_argument("--max", type=int, default=_BOUNDS["max"])
+    p.add_argument("--max-prime", dest="max_prime", type=int, default=_BOUNDS["max_prime"])
     commons(p)
     p.set_defaults(fn=cmd_identity)
 
@@ -283,18 +283,11 @@ def main(argv: list[str] | None = None) -> int:
                   "summary": {"checked": checked, "passed": checked - failed, "failed": failed},
                   "wall_time_s": round(time.perf_counter() - t0, 6)}
         _emit(report, args, lines)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
     return 1 if failed else 0
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

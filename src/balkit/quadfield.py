@@ -35,9 +35,7 @@ def _zmul(d: int, a: int, b: int, c: int, e: int) -> tuple[int, int]:
 
 
 def _times(d: int, n: tuple, m: tuple) -> tuple:
-    """The product of two numerator tuples, on the floor of the longer one."""
-    if len(n) < len(m):
-        n, m = m, n
+    """The product of two numerator tuples, on n's floor; m is never longer than n."""
     if len(m) == 1:
         return tuple([x * m[0] for x in n])
     if len(n) == 2:

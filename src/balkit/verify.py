@@ -16,32 +16,38 @@ from . import quadfield
 from . import sequences as seqs
 from . import tailfloors as tails
 
-# name -> (identities check, grid of parameter tuples up to max N or max_prime P)
+# name -> (identities check, the bound its grid reads, grid of parameter tuples up to that bound)
 IDENTITY_GRIDS = {
-    "catalan": ("check_catalan", lambda N, P: [(n, r) for n in range(N + 1) for r in range(n + 1)]),
-    "odd-sum": ("check_odd_index_sum", lambda N, P: [(n,) for n in range(1, N + 1)]),
-    "shifted-product": ("check_shifted_product",
-                        lambda N, P: [(x, y) for x in range(N + 1) for y in range(N + 1)]),
-    "addition": ("check_addition", lambda N, P: [(m, n) for n in range(N + 1) for m in range(n + 1)]),
-    "combination": ("check_combination",
-                    lambda N, P: [(m, n) for m in range(1, N + 1) for n in range(1, N + 1)]),
-    "gcd": ("check_gcd", lambda N, P: [(m, n) for m in range(1, N + 1) for n in range(1, N + 1)]),
-    "prime-congruence": ("check_prime_congruences",
-                         lambda N, P: [(p,) for p in ident.primes_up_to(P - 1) if p > 2]),
-    "mod-companion": ("check_mod_companion", lambda N, P: [(m,) for m in range(1, N + 1)]),
-    "binomial-3pow": ("check_binomial_3pow", lambda N, P: [(n,) for n in range(N + 1)]),
-    "binomial-plain": ("check_binomial_plain", lambda N, P: [(n,) for n in range(N + 1)]),
-    "second-order-product": ("check_second_order_product",
-                             lambda N, P: [(n,) for n in range(4, N + 1)]),
+    "catalan": ("check_catalan", "max",
+                lambda N: [(n, r) for n in range(N + 1) for r in range(n + 1)]),
+    "odd-sum": ("check_odd_index_sum", "max", lambda N: [(n,) for n in range(1, N + 1)]),
+    "shifted-product": ("check_shifted_product", "max",
+                        lambda N: [(x, y) for x in range(N + 1) for y in range(N + 1)]),
+    "addition": ("check_addition", "max",
+                 lambda N: [(m, n) for n in range(N + 1) for m in range(n + 1)]),
+    "combination": ("check_combination", "max",
+                    lambda N: [(m, n) for m in range(1, N + 1) for n in range(1, N + 1)]),
+    "gcd": ("check_gcd", "max",
+            lambda N: [(m, n) for m in range(1, N + 1) for n in range(1, N + 1)]),
+    "prime-congruence": ("check_prime_congruences", "max_prime",
+                         lambda P: [(p,) for p in ident.primes_up_to(P - 1) if p > 2]),
+    "mod-companion": ("check_mod_companion", "max", lambda N: [(m,) for m in range(1, N + 1)]),
+    "binomial-3pow": ("check_binomial_3pow", "max", lambda N: [(n,) for n in range(N + 1)]),
+    "binomial-plain": ("check_binomial_plain", "max", lambda N: [(n,) for n in range(N + 1)]),
+    "second-order-product": ("check_second_order_product", "max",
+                             lambda N: [(n,) for n in range(4, N + 1)]),
 }
 
 
 def identity_sweep(name: str, max: int, max_prime: int) -> tuple:
-    """The named identity's check and its grid up to max (or max_prime)."""
+    """The named identity's check and its grid up to the bound it reads; an empty grid is an error."""
     if name not in IDENTITY_GRIDS:
         raise ValueError(f"unknown identity {name!r}; known: " + ", ".join(sorted(IDENTITY_GRIDS)))
-    check, grid = IDENTITY_GRIDS[name]
-    return getattr(ident, check), grid(max, max_prime)
+    check, bound, grid = IDENTITY_GRIDS[name]
+    limit = max_prime if bound == "max_prime" else max
+    if not (cases := grid(limit)):
+        raise ValueError(f"{name} has no case up to {bound}={limit}")
+    return getattr(ident, check), cases
 
 
 def _agree(lhs, rhs) -> ident.Verdict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -59,7 +60,9 @@ def test_seq_gen_fibonacci_records_a(capsys):
 
 @pytest.mark.parametrize("argv", [("seq", "B", "--a", "3", "--from", "0", "--to", "3"),
                                   ("tailfloor", "alt-B", "--n", "2", "--l", "3"),
-                                  ("tailfloor", "plain-C", "--n", "2", "--a", "2")],
+                                  ("tailfloor", "plain-C", "--n", "2", "--a", "2"),
+                                  ("identity", "gcd", "--max-prime", "7"),
+                                  ("identity", "prime-congruence", "--max", "41")],
                          ids=" ".join)
 def test_unused_parameter_exit_2(capsys, argv):
     # A parameter the command does not read is rejected, never silently recorded.
@@ -150,6 +153,31 @@ def test_identity_registry_rejects_an_unknown_name():
 
     with pytest.raises(ValueError, match=r"unknown identity 'bogus'; known: addition, .*gcd"):
         identity_sweep("bogus", 40, 1000)
+
+
+def test_identity_registry_rejects_an_empty_grid():
+    from balkit.verify import identity_sweep
+
+    with pytest.raises(ValueError, match="catalan has no case up to max=-1"):
+        identity_sweep("catalan", -1, 1000)
+    with pytest.raises(ValueError, match="prime-congruence has no case up to max_prime=3"):
+        identity_sweep("prime-congruence", 40, 3)
+    assert len(identity_sweep("prime-congruence", 0, 4)[1]) == 1  # the grid reads max_prime only
+
+
+EMPTY_SWEEPS = [(("gcd", "--max", "0"), "gcd has no case up to max=0"),
+                (("second-order-product", "--max", "3"),
+                 "second-order-product has no case up to max=3"),
+                (("prime-congruence", "--max-prime", "3"),
+                 "prime-congruence has no case up to max_prime=3")]
+
+
+@pytest.mark.parametrize("argv, message", EMPTY_SWEEPS,
+                         ids=[" ".join(argv) for argv, _ in EMPTY_SWEEPS])
+def test_identity_empty_sweep_exit_2(capsys, argv, message):
+    # A sweep that checks nothing is a usage error, not "passed 0/0".
+    code, out, err = run(capsys, "identity", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_tailfloor_certify(capsys):
@@ -449,6 +477,23 @@ def test_expand_arithmetic_failure_exit_1(tmp_path, capsys, monkeypatch):
     assert "error: non-integer series coefficient at t^0: 1/2" in out.splitlines()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_arithmetic_failure_outside_an_item_exit_1(fmt, tmp_path, capsys, monkeypatch):
+    # An ArithmeticError that no command turns into a report item reaches main:
+    # exit 1 with one error line and no report at all.
+    from balkit import genfunc
+
+    def broken(family, k, r):
+        raise ArithmeticError("injected in gf")
+
+    monkeypatch.setattr(genfunc, "gf", broken)
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "gf", "B", "--k", "1", "--r", "0", "--format", fmt,
+                         "--output", str(path))
+    assert (code, out, err) == (1, "", "error: injected in gf\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("key", ["error", "undecided"])
 def test_tailfloor_arithmetic_failure_exit_1(key, tmp_path, capsys, monkeypatch):
     from balkit import tailfloors
@@ -473,6 +518,50 @@ def test_tailfloor_arithmetic_failure_exit_1(key, tmp_path, capsys, monkeypatch)
     code, out, err = run(capsys, "tailfloor", "alt-B", "--n", "3")
     assert code == 1 and err == ""
     assert f"{key}: {message}" in out.splitlines()
+
+
+# The text of every conv and tailfloor mode, up to the wall time, with each
+# route's value padded to the longer of the two route names.
+ROUTE_TEXT = [
+    (("conv", "B", "--k", "2", "--r", "1", "--n", "3", "--method", "brute"), None,
+     "brute  164012\nchecked 1  passed 1  failed 0"),
+    (("conv", "B", "--k", "2", "--r", "1", "--n", "3", "--method", "closed"), None,
+     "closed 164012\nchecked 1  passed 1  failed 0"),
+    (("conv", "B", "--k", "2", "--r", "1", "--n", "3", "--method", "both"), None,
+     "brute  164012\nclosed 164012\nmatch\nchecked 1  passed 1  failed 0"),
+    (("conv", "B", "--k", "2", "--r", "1", "--n", "3"), "brute off by one",
+     "brute  164013\nclosed 164012\nMISMATCH\nchecked 1  passed 0  failed 1"),
+    (("conv", "B", "--k", "2", "--r", "1", "--n", "3"), "residue",
+     "brute  164012\nerror: sqrt(2) residue: 1 + 1*sqrt(2)\nchecked 1  passed 0  failed 1"),
+    (("tailfloor", "alt-B", "--n", "3", "--mode", "closed"), None,
+     "closed   -42\nchecked 1  passed 1  failed 0"),
+    (("tailfloor", "alt-B", "--n", "3", "--mode", "verified"), None,
+     "verified -42  (2 terms)\nchecked 1  passed 1  failed 0"),
+    (("tailfloor", "alt-B", "--n", "3", "--mode", "certify"), None,
+     "closed   -42\nverified -42  (2 terms)\nmatch\nchecked 1  passed 1  failed 0"),
+    (("tailfloor", "alt-B", "--n", "3"), "undecided",
+     "closed   -42\nundecided: B/alt n=3: floor undecided within 64 terms\n"
+     "checked 1  passed 0  failed 1"),
+]
+
+
+@pytest.mark.parametrize("argv, fault, text", ROUTE_TEXT,
+                         ids=[" ".join(argv) + (f" ({fault})" if fault else "")
+                              for argv, fault, _ in ROUTE_TEXT])
+def test_route_text(capsys, monkeypatch, argv, fault, text):
+    from balkit import convolutions, tailfloors
+    from balkit.quadfield import QuadRat
+
+    if fault == "brute off by one":
+        brute = convolutions.brute_conv
+        monkeypatch.setattr(convolutions, "brute_conv", lambda *a: brute(*a) + 1)
+    elif fault == "residue":
+        monkeypatch.setattr(convolutions, "closed_form_raw", lambda *a: QuadRat.of(1, 1, 2))
+    elif fault == "undecided":  # 1/S stays within [4.1, 6] however many terms are summed
+        monkeypatch.setattr(tailfloors, "_enclose", lambda spec, n, terms: (1, 6, 10, 41))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0 if fault is None else 1, "")
+    assert re.fullmatch(re.escape(text) + r"  \(\d+\.\d{3}s\)\n", out), out
 
 
 def test_json_report_rendered_once(tmp_path, capsys, monkeypatch):

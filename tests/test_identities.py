@@ -148,6 +148,24 @@ def test_is_prime():
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
 
 
+# psi_k, the least strong pseudoprime to each of the first k prime bases (psi_8 = psi_9).
+PSI = {4: 3215031751, 5: 2152302898747, 6: 3474749660383, 7: 341550071728321,
+       9: 3825123056546413051, 12: 399165290221 * 798330580441}
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_is_prime_rejects_strong_pseudoprimes(k):
+    # Miller-Rabin with the bases 2..37 passes psi_12; the base 41 exposes it.
+    assert not is_prime(PSI[k])
+    with pytest.raises(ValueError):
+        check_prime_congruences(PSI[k])
+
+
+def test_is_prime_matches_the_sieve():
+    primes = set(primes_up_to(20000))
+    assert [n for n in range(20000) if is_prime(n) != (n in primes)] == []
+
+
 def test_parameter_errors():
     with pytest.raises(ValueError):
         check_catalan(2, 3)

@@ -269,6 +269,33 @@ def test_undecided_budget():
         verified_floor(TailSpec("B", "alt"), 2, max_terms=1)
 
 
+def stub_rounds(monkeypatch, rounds):
+    """Make _enclose return rounds[terms], (lo_num, lo_den, hi_num, hi_den); record its calls."""
+    calls = []
+    monkeypatch.setattr(tailfloors, "_enclose",
+                        lambda spec, n, terms: calls.append(terms) or rounds[terms])
+    return calls
+
+
+def test_certificate_intersects_rounds_until_decided(monkeypatch):
+    # Every real certificate decides at 2 terms, so stubbed enclosures drive the later rounds.
+    # 1/S spans [4.1, 6] after round one and [3, 4.9] after round two: only their
+    # intersection [4.1, 4.9] pins the floor at 4.
+    calls = stub_rounds(monkeypatch, {2: (1, 6, 10, 41), 4: (10, 49, 1, 3)})
+    cert = certify_floor(TailSpec("B", "alt"), 3)
+    assert calls == [2, 4]
+    assert (cert.value, cert.terms, cert.ends) == (4, 4, (10, 49, 10, 41))
+    with pytest.raises(UndecidedIntervalError):
+        certify_floor(TailSpec("B", "alt"), 3, max_terms=2)
+
+
+def test_disjoint_rounds_raise(monkeypatch):
+    stub_rounds(monkeypatch, {2: (1, 6, 10, 41), 4: (1, 2, 1, 1)})
+    with pytest.raises(ArithmeticError, match="inconsistent enclosures") as info:
+        certify_floor(TailSpec("B", "alt"), 3)
+    assert not isinstance(info.value, UndecidedIntervalError)
+
+
 # -- golden certificates ---------------------------------------------------------
 #
 # SHA-256 of the newline-joined lines "family shape l a n ...", integers in hex.
