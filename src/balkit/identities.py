@@ -97,9 +97,11 @@ def check_gcd(m: int, n: int) -> Verdict:
     return _verdict([("gcd", gcd(B(m), B(n)), B(gcd(m, n)))])
 
 
+PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to the first 13 prime bases
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin: the first 13 prime bases are exact below
-    3317044064679887385961981 (3.3e24), the least strong pseudoprime to them all."""
+    """Deterministic Miller-Rabin: the first 13 prime bases are exact below PSI_13 (3.3e24)."""
     if n < 2:
         return False
     d, s = n - 1, 0
@@ -135,7 +137,10 @@ def primes_up_to(limit: int) -> list[int]:
 
 def kronecker_p8(p: int) -> int:
     """The mod-8 quadratic character of an odd prime: +1 when p = +-1 (mod 8),
-    -1 when p = +-3 (mod 8)."""
+    -1 when p = +-3 (mod 8).  Primes are known only below PSI_13, where
+    is_prime is exact."""
+    if p >= PSI_13:
+        raise ValueError(f"primality is decided only below {PSI_13}, got {p}")
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     return 1 if p % 8 in (1, 7) else -1

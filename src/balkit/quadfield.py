@@ -31,6 +31,8 @@ def _frozen(self, *args):
 def _zmul(d: int, a: int, b: int, c: int, e: int) -> tuple[int, int]:
     """(a + b*sqrt(d)) * (c + e*sqrt(d)) in Z[sqrt(d)]."""
     # d * (b * e), not (d * b) * e: a square then multiplies an int by itself, CPython's fast path.
+    if a is c and b is e:  # a square, whose a*e + b*c is one product twice
+        return a * a + d * (b * b), 2 * (a * b)
     return a * c + d * (b * e), a * e + b * c
 
 

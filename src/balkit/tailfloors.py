@@ -26,6 +26,14 @@ The certificate runs on unreduced integer numerator/denominator pairs, each
 bound over a closed product of sequence values and the ratio interval's
 integer ends: certify_floor takes no gcd and builds no Fraction, and
 refined_bracket and CertifiedFloor.interval reduce to Fractions when read.
+It works at the floor's precision: with F the floor's bit length, each round
+first tries the enclosure with its ratio interval, remainder bounds and ends
+rounded outward by shifts to about F + 64 bits, then 2F + 64, and only then
+the exact one (tails of one sequence factor per summand start at 2F + 64,
+floors under 256 bits take the exact one alone).  A rounded enclosure
+contains refined_bracket's at the same terms, so the floor and the term count
+are the exact path's, while the ends carry a few times the floor's bits
+rather than 5 to 11 times.
 """
 
 from __future__ import annotations
@@ -192,46 +200,100 @@ def bracket_tail(spec: TailSpec, n: int, terms: int) -> Interval:
     return Interval(total, total + ts[terms] * num ** steps / (num ** steps - den ** steps))
 
 
-def _enclose(spec: TailSpec, n: int, terms: int) -> tuple[int, int, int, int]:
+def _shift(v: int, t: int, up: bool) -> int:
+    """v / 2^t rounded down, or up."""
+    return -(-v >> t) if up else v >> t
+
+
+def _round(x: int, y: int, bits: int | None, up: bool) -> tuple[int, int]:
+    """x/y (y > 0) cut to about `bits` bits by one right shift of both, rounded
+    down or up so that the new quotient bounds the old one; exact when bits is None."""
+    t = 0 if bits is None else min(abs(x).bit_length(), y.bit_length()) - bits
+    if t <= 0:
+        return x, y
+    x = _shift(x, t, up)
+    # A larger denominator moves x/y toward 0: down when x >= 0, up when x < 0.
+    return x, _shift(y, t, (x < 0) == up)
+
+
+def _power(x: int, y: int, k: int, bits: int | None, up: bool) -> tuple[int, int]:
+    """(x/y)^k for x, y > 0 and k >= 1 by squaring, rounded as _round rounds
+    after every product."""
+    if bits is None:
+        return x ** k, y ** k
+    x, y = p = _round(x, y, bits, up)
+    for bit in bin(k)[3:]:
+        p = _round(p[0] * p[0], p[1] * p[1], bits, up)
+        if bit == "1":
+            p = _round(p[0] * x, p[1] * y, bits, up)
+    return p
+
+
+def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tuple[int, int, int, int]:
     """refined_bracket as integers (lo_num, lo_den, hi_num, hi_den), positive
     denominators.  With s0 = S(M), s1 = S(M+1) and g = gn/gd, S(m+1)/S(m) lies in
     [A-, A+] / Bq for m >= M, Bq = (gd - gn) s0 s1, A-+ = (gd - gn) s1^2 -+ kappa gd,
-    so consecutive remainder terms have ratio in [Bq^s / A+^s, Bq^s / A-^s]."""
+    so consecutive remainder terms have ratio in [Bq^s / A+^s, Bq^s / A-^s].
+
+    Given a scale, the ratio interval, the remainder bounds and the ends are
+    rounded outward to about scale * F + 64 bits, F the floor's bit length as D
+    and the partial sum estimate it: the result then contains the exact one."""
     _require_valid_n(spec, n)
     if terms < 1:
         raise ValueError(f"need terms >= 1, got {terms}")
     S, shape = partial(_memo, spec.sequence()), SHAPES[spec.shape]
     idxs = [shape.indices(k, spec.l) for k in range(n, n + terms + 1)]
     # Summand j is +-nums[j] / D over the common denominator D, each index at
-    # the largest power any one summand has.
+    # the largest power any one summand has; indices at one power share it.
     top = {i: max(ix.count(i) for ix in idxs) for ix in idxs for i in ix}
-    D = math.prod(S(i) ** e for i, e in top.items())
-    nums = [math.prod(S(i) ** (e - ix.count(i)) for i, e in top.items()) for ix in idxs]
+
+    def power_product(powers: dict) -> int:
+        by_power = {}
+        for i, e in powers.items():
+            if e:
+                by_power[e] = by_power.get(e, 1) * S(i)
+        return math.prod(x ** e for e, x in by_power.items())
+
+    D = power_product(top)
+    nums = [power_product({i: e - ix.count(i) for i, e in top.items()}) for ix in idxs]
     if shape.alternating and any(cur >= prev for prev, cur in zip(nums, nums[1:])):
         raise ArithmeticError(f"summands not strictly decreasing at {spec}, n={n}")
     total = sum(-x if shape.alternating and k % 2 else x for k, x in enumerate(nums[:terms], n))
-    # Remainder magnitude bounds a / (b * D), first the simple bracket's.
+    bits = None if scale is None else scale * (D.bit_length() - abs(total).bit_length()) + 64
+    # Rounded, everything is in units of 2^cut / D, with cut such that total keeps `bits` bits.
+    cut = 0 if bits is None else max(0, abs(total).bit_length() - bits)
+    # Remainder magnitude bounds a / b, first the simple bracket's.
     bn, bd, steps = _growth(spec)
     rho, rd = bn ** steps, bd ** steps
-    lo, hi = (0, 1), (nums[terms - 1], 1) if shape.alternating else (rho * nums[terms], rho - rd)
+    N = [_shift(nums[terms], cut, up) for up in (False, True)]  # rounded down and up
+    lo, hi = (0, 1), (_shift(nums[terms - 1], cut, True), 1) if shape.alternating else (rho * N[1], rho - rd)
     M = min(idxs[terms])
     s0, s1, gn, gd = S(M), S(M + 1), bd * bd, bn * bn
     bq = (gd - gn) * s0 * s1
     kappa = abs(S(0) * S(2) - S(1) ** 2)  # = |S(m-1)S(m+1) - S(m)^2| for every m, as Q = +-1
     am, ap = ((gd - gn) * s1 * s1 + e * kappa * gd for e in (-1, 1))
     if am > bq:  # else the ratio interval reaches 1: keep the simple bracket
-        am, ap, bq = am ** steps, ap ** steps, bq ** steps
-        if shape.alternating:
-            # R/mag lies in the nested fixed interval of y -> 1 - u*y.
-            w = am * ap - bq * bq
-            lo, ref = ((am - bq) * ap * nums[terms], w), ((ap - bq) * am * nums[terms], w)
-        else:
-            lo, ref = (ap * nums[terms], ap - bq), (am * nums[terms], am - bq)
-        if ref[0] * hi[1] < hi[0] * ref[1]:
-            hi = ref
-    if not (shape.alternating and (n + terms) % 2):  # the first omitted summand is positive
-        return total * lo[1] + lo[0], D * lo[1], total * hi[1] + hi[0], D * hi[1]
-    return total * hi[1] - hi[0], D * hi[1], total * lo[1] - lo[0], D * lo[1]
+        # The ratio interval [a/b, c/d]: (bq/ap)^steps rounded down, (bq/am)^steps up.
+        (a, b), (c, d) = (_power(bq, x, steps, bits, up) for x, up in ((ap, False), (am, True)))
+        if c < d:  # always so unrounded
+            if shape.alternating:
+                # R/mag lies in the nested fixed interval of y -> 1 - u*y.
+                w = b * d - a * c
+                (a, b), (c, d) = _round((d - c) * b, w, bits, False), _round((b - a) * d, w, bits, True)
+            else:  # R/mag lies in [1/(1 - a/b), 1/(1 - c/d)]
+                (a, b), (c, d) = (b, b - a), (d, d - c)
+            lo, ref = _round(a * N[0], b, bits, False), _round(c * N[1], d, bits, True)
+            if ref[0] * hi[1] < hi[0] * ref[1]:
+                hi = ref
+    # An end is (total + sign * a/b) / D, sign that of the first omitted summand.
+    # D counts only to `bits` bits: it is rounded past them and shifted back.
+    sign = -1 if shape.alternating and (n + terms) % 2 else 1
+    extra = 0 if bits is None else max(0, D.bit_length() - cut - bits - 64)
+    ends = ()
+    for (a, b), up in zip((lo, hi)[::sign], (False, True)):
+        num = _shift(total, cut, up) * b + sign * a
+        ends += _round(num, _shift(D, cut + extra, (num < 0) == up) * b << extra, bits, up)
+    return ends
 
 
 def _as_interval(ends: tuple[int, int, int, int]) -> Interval:
@@ -245,7 +307,8 @@ def refined_bracket(spec: TailSpec, n: int, terms: int) -> Interval:
 
 
 class CertifiedFloor(NamedTuple):
-    """The floor, the summand count that pinned it, and the final enclosure."""
+    """The floor, the summand count that pinned it, and the enclosure that
+    decided it, rounded outward: it contains refined_bracket(spec, n, terms)."""
 
     value: int
     terms: int
@@ -256,28 +319,63 @@ class CertifiedFloor(NamedTuple):
         return _as_interval(self.ends)
 
 
+def _reciprocal(y: int, m: int) -> int:
+    """About 4^m / y, within a few units, for y of m bits: past 2^14 bits, one
+    Newton step from the reciprocal of y's top half."""
+    if m <= 1 << 14:
+        return (1 << 2 * m) // y
+    h = m // 2 + 32
+    r = _reciprocal(y >> (m - h), h) << (m - h)
+    return r + (r * ((1 << 2 * m) - y * r) >> 2 * m)
+
+
+def _floor_div(x: int, y: int) -> int:
+    """x // y for y != 0, from the reciprocal of y's leading bits, as many as
+    the quotient has plus 64, and an exact correction.  Schoolbook division
+    costs the quotient's length times y's; this costs its square, and past
+    2^14 bits a few products."""
+    if y < 0:
+        x, y = -x, -y
+    m = abs(x).bit_length() - y.bit_length() + 64
+    if m <= 128:
+        return x // y
+    t = y.bit_length() - m
+    x_m, y_m = (x >> t, y >> t) if t >= 0 else (x << -t, y << -t)
+    q = x_m * _reciprocal(y_m, m) >> 2 * m
+    return q + _floor_div(x - q * y, y)
+
+
 def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor:
     """Tighten refined_bracket by doubling terms (2, 4, 8, ...) until the
     reciprocal floor is the same at both endpoints; intervals are intersected
-    across rounds so refinement never widens.  Raises UndecidedIntervalError
-    if the budget is exhausted first."""
+    across rounds so refinement never widens.  Each round tries the enclosure
+    rounded outward to about F + 64 bits, then 2F + 64, and last the exact one,
+    so the floor and the term count are those of the exact enclosures alone.
+    Raises UndecidedIntervalError if the budget is exhausted first."""
     _require_valid_n(spec, n)
-    current = None
-    terms = 2
+    factors = SHAPES[spec.shape].indices(n, spec.l)
+    F = sum(_memo(spec.sequence(), i).bit_length() for i in factors)  # the floor's bits, about
+    # Below 256 bits the exact enclosure costs less than a rounded one.  With one
+    # sequence factor per summand, 1/tail lies within about 2^-F of an integer,
+    # which F + 64 bits cannot resolve: such tails start at 2F + 64.
+    scales = (None,) if F < 256 else (2, None) if len(factors) == 1 else (1, 2, None)
+    current, value, terms = None, 0, 2
     while terms <= max_terms:
-        fresh = _enclose(spec, n, terms)
-        if current is not None:  # keep the larger lower end and the smaller upper end
-            (a, b, c, d), (e, f, g, h) = current, fresh
-            current = (a, b) if a * f >= e * b else (e, f)
-            current += (c, d) if c * h <= g * d else (g, h)
-        else:
-            current = fresh
-        lo, lo_den, hi, hi_den = current
-        if lo > hi if lo_den == hi_den else lo * hi_den > hi * lo_den:
-            raise ArithmeticError(f"inconsistent enclosures for {spec}, n={n}")
-        # 1/x is decreasing on either side of 0, so 1/S ranges over [1/hi, 1/lo].
-        if (lo > 0 or hi < 0) and (value := hi_den // hi) == lo_den // lo:
-            return CertifiedFloor(value, terms, current)
+        for scale in scales:
+            ends = _enclose(spec, n, terms, scale)
+            if current is not None:  # keep the larger lower end and the smaller upper end
+                (a, b, c, d), (e, f, g, h) = current, ends
+                ends = ((a, b) if a * f >= e * b else (e, f)) + ((c, d) if c * h <= g * d else (g, h))
+                if ends[0] * ends[3] > ends[2] * ends[1]:
+                    raise ArithmeticError(f"inconsistent enclosures for {spec}, n={n}")
+            lo, lo_den, hi, hi_den = ends
+            # 1/x is decreasing on either side of 0, so 1/S ranges over [1/hi, 1/lo].
+            # Each floor is taken relative to the last one found, a short quotient.
+            if lo > 0 or hi < 0:
+                value += _floor_div(hi_den - value * hi, hi)
+                if _floor_div(lo_den - value * lo, lo) == 0:
+                    return CertifiedFloor(value, terms, ends)
+        current = ends
         terms *= 2
     raise UndecidedIntervalError(
         f"{spec.family}/{spec.shape} n={n}: floor undecided within {max_terms} terms"

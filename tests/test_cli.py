@@ -189,6 +189,23 @@ def test_tailfloor_certify(capsys):
     assert lines[2] == "match"
 
 
+def test_tailfloor_reports_floors_past_4300_digits(capsys):
+    # Python 3.11+ converts at most 4300 digits by default; main lifts that cap for its reports.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "tailfloor", "plain-B", "--l", "3", "--n", "2000",
+                             "--format", "json")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    [item] = json.loads(out)["items"]
+    assert item["verified"] == item["closed"] and len(item["closed"]) > 4300
+    assert item["terms"] == 2
+
+
 def test_tailfloor_verified_mode(capsys):
     code, out, _ = run(capsys, "tailfloor", "plain-B", "--l", "1", "--n", "2",
                        "--mode", "verified")
@@ -558,7 +575,7 @@ def test_route_text(capsys, monkeypatch, argv, fault, text):
     elif fault == "residue":
         monkeypatch.setattr(convolutions, "closed_form_raw", lambda *a: QuadRat.of(1, 1, 2))
     elif fault == "undecided":  # 1/S stays within [4.1, 6] however many terms are summed
-        monkeypatch.setattr(tailfloors, "_enclose", lambda spec, n, terms: (1, 6, 10, 41))
+        monkeypatch.setattr(tailfloors, "_enclose", lambda spec, n, terms, scale=None: (1, 6, 10, 41))
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0 if fault is None else 1, "")
     assert re.fullmatch(re.escape(text) + r"  \(\d+\.\d{3}s\)\n", out), out

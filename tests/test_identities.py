@@ -9,6 +9,7 @@ from __future__ import annotations
 import pickle
 
 import pytest
+import sympy  # an independent oracle, used by the tests only
 
 from balkit import (
     Verdict,
@@ -82,6 +83,18 @@ def test_kronecker_examples():
     assert kronecker_p8(5) == -1
     assert kronecker_p8(3) == -1
     assert kronecker_p8(17) == 1
+
+
+def test_kronecker_refuses_psi_13():
+    # The least strong pseudoprime to is_prime's 13 bases: composite, yet it passes them all,
+    # so a C congruence for it would be reported as failed.
+    psi_13 = 3317044064679887385961981
+    assert not sympy.isprime(psi_13) and is_prime(psi_13)
+    for p in (psi_13, psi_13 + 2):
+        with pytest.raises(ValueError, match="decided only below"):
+            kronecker_p8(p)
+        with pytest.raises(ValueError, match="decided only below"):
+            check_prime_congruences(p)
 
 
 def test_kronecker_matches_balancing_residue():

@@ -341,3 +341,12 @@ def test_routes_to_a_value_reach_one_canonical_form(pair):
         assert type(v) is type(x) and v == x and hash(v) == hash(x)
     for q in (x, y) if isinstance(x, QuadRat) else (x.re, x.im, y.re, y.im):
         assert type(q) is QuadRat and type(q.a) is Fraction and type(q.b) is Fraction
+
+
+def test_zmul_square_matches_the_general_product():
+    from balkit.quadfield import _zmul
+
+    a, b = 3 ** 200, -(5 ** 150)
+    c, e = int(str(a)), int(str(b))  # equal values in other objects: the general path
+    assert c is not a and e is not b
+    assert _zmul(2, a, b, a, b) == _zmul(2, a, b, c, e) == (a * a + 2 * b * b, 2 * a * b)

@@ -5,9 +5,12 @@ from __future__ import annotations
 import hashlib
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balkit import (
     SHAPES,
@@ -270,10 +273,15 @@ def test_undecided_budget():
 
 
 def stub_rounds(monkeypatch, rounds):
-    """Make _enclose return rounds[terms], (lo_num, lo_den, hi_num, hi_den); record its calls."""
+    """Make _enclose return rounds[terms], (lo_num, lo_den, hi_num, hi_den), at
+    every scale, or rounds[terms, scale] where given; record its calls."""
     calls = []
-    monkeypatch.setattr(tailfloors, "_enclose",
-                        lambda spec, n, terms: calls.append(terms) or rounds[terms])
+
+    def enclose(spec, n, terms, scale=None):
+        calls.append((terms, scale))
+        return rounds.get((terms, scale)) or rounds[terms]
+
+    monkeypatch.setattr(tailfloors, "_enclose", enclose)
     return calls
 
 
@@ -283,10 +291,23 @@ def test_certificate_intersects_rounds_until_decided(monkeypatch):
     # intersection [4.1, 4.9] pins the floor at 4.
     calls = stub_rounds(monkeypatch, {2: (1, 6, 10, 41), 4: (10, 49, 1, 3)})
     cert = certify_floor(TailSpec("B", "alt"), 3)
-    assert calls == [2, 4]
+    assert calls == [(2, None), (4, None)]
     assert (cert.value, cert.terms, cert.ends) == (4, 4, (10, 49, 10, 41))
     with pytest.raises(UndecidedIntervalError):
         certify_floor(TailSpec("B", "alt"), 3, max_terms=2)
+
+
+@pytest.mark.parametrize("shape, n, scales", [("alt_sq", 200, [1, 2, None]), ("alt", 200, [2, None]),
+                                              ("alt_sq", 3, [None])])
+def test_exact_ends_decide_when_the_rounded_do_not(monkeypatch, shape, n, scales):
+    # 1/S spans [4.1, 6] on the rounded enclosures, which hold the exact one at
+    # the same terms, and [4.1, 4.9] on it: the floor is 4 at 2 terms, as unrounded.
+    # A tail of one factor per summand skips F + 64 bits, which never decide it,
+    # and a floor of under 256 bits takes the exact enclosure alone.
+    calls = stub_rounds(monkeypatch, {2: (1, 6, 10, 41), (2, None): (10, 49, 10, 41)})
+    cert = certify_floor(TailSpec("B", shape), n)
+    assert calls == [(2, scale) for scale in scales]
+    assert (cert.value, cert.terms, cert.ends) == (4, 2, (10, 49, 10, 41))
 
 
 def test_disjoint_rounds_raise(monkeypatch):
@@ -299,7 +320,9 @@ def test_disjoint_rounds_raise(monkeypatch):
 # -- golden certificates ---------------------------------------------------------
 #
 # SHA-256 of the newline-joined lines "family shape l a n ...", integers in hex.
-# The digests pin every certified value, term count and exact endpoint.
+# The digests pin every certified value and term count, with or without the
+# endpoints of the rounded enclosure that decided it, and every exact endpoint
+# of refined_bracket.
 
 PLAN_CASES = [case for _, _, case in verify.tailfloors()]
 PLAN_SPECS = list(dict.fromkeys(spec for spec, _ in PLAN_CASES))
@@ -318,17 +341,28 @@ def certificate_line(spec, n, cert):
     return " ".join(map(str, fields + endpoint_fields(cert.interval)))
 
 
+N1000_SPECS = [TailSpec("B", "alt_even_sq"), TailSpec("C", "alt_evenprod"),
+               TailSpec("B", "plain", l=2), TailSpec("G", "gf_sq", a=2)]
+
+
+def test_golden_certified_values_and_terms():
+    # Only what the certificate decides: the floor and the summand count that pinned it.
+    certs = [(spec, n, certify_floor(spec, n, max_terms=16)) for spec, n in PLAN_CASES]
+    certs += [(spec, 1000, certify_floor(spec, 1000)) for spec in N1000_SPECS]
+    lines = [f"{spec.family} {spec.shape} {spec.l} {spec.a} {n} {hex(cert.value)} {cert.terms}"
+             for spec, n, cert in certs]
+    assert digest(lines) == "af73c2de824dedce199160b9d2640c207bac9054c5b5faa0bd85d89e9ee531b8"
+
+
 def test_golden_plan_certificates():
     lines = [certificate_line(spec, n, certify_floor(spec, n, max_terms=16)) for spec, n in PLAN_CASES]
     assert len(PLAN_CASES) == 895 and len(PLAN_SPECS) == 36
-    assert digest(lines) == "0f26e5b9ea6754893e486abf8d30866c77ce029f3cbe179882c604774a218762"
+    assert digest(lines) == "a438632f02f810faa5f513b5c7cbce35e14a68e700a8fe0a0a087afba49df4d2"
 
 
 def test_golden_certificates_at_n_1000():
-    specs = [TailSpec("B", "alt_even_sq"), TailSpec("C", "alt_evenprod"),
-             TailSpec("B", "plain", l=2), TailSpec("G", "gf_sq", a=2)]
-    lines = [certificate_line(spec, 1000, certify_floor(spec, 1000)) for spec in specs]
-    assert digest(lines) == "17653f9a2f97b9bccc238215ce79a0dd13207176c54c9d9f9a20c5baf9fda2df"
+    lines = [certificate_line(spec, 1000, certify_floor(spec, 1000)) for spec in N1000_SPECS]
+    assert digest(lines) == "15d40dde16cf3d0a4e3a5826b33e5533784331020eaf55132cc15d6fbd16285e"
 
 
 def test_golden_closed_floors():
@@ -361,6 +395,10 @@ def test_golden_refined_brackets():
     assert digest(lines) == "680ec66b60739c47800e34147873129211e6881d08674db6bad8d75f5a2d18b6"
 
 
+def contains(outer, inner):
+    return outer.lo <= inner.lo <= inner.hi <= outer.hi
+
+
 def test_certificate_takes_no_gcd_and_builds_no_fraction(monkeypatch):
     def forbidden(*args):
         raise AssertionError("certify_floor reduced a fraction")
@@ -373,12 +411,68 @@ def test_certificate_takes_no_gcd_and_builds_no_fraction(monkeypatch):
             certs.append(certify_floor(spec, threshold(spec) + 5))
     for spec, cert in zip(PLAN_SPECS, certs):
         assert cert.value == closed_floor(spec, threshold(spec) + 5), spec
-        assert cert.interval == refined_bracket(spec, threshold(spec) + 5, cert.terms), spec
+        assert contains(cert.interval, refined_bracket(spec, threshold(spec) + 5, cert.terms)), spec
 
 
 def test_certificate_interval_is_a_value():
     spec, n = TailSpec("C", "alt_oddprod"), 4
     cert = certify_floor(spec, n)
     assert isinstance(cert.interval.lo, Fraction)
-    assert cert.interval == refined_bracket(spec, n, cert.terms)
+    assert contains(cert.interval, refined_bracket(spec, n, cert.terms))
     assert pickle.loads(pickle.dumps(cert)).interval == cert.interval
+
+
+def test_certificates_contain_the_exact_enclosure():
+    cases = [(spec, n, 16) for spec, n in PLAN_CASES] + [(spec, 1000, 64) for spec in N1000_SPECS]
+    for spec, n, max_terms in cases:
+        cert = certify_floor(spec, n, max_terms)
+        exact = refined_bracket(spec, n, cert.terms)
+        assert contains(cert.interval, exact), (spec, n)
+        # Small floors are certified exactly, so their rounded enclosures are checked here.
+        for scale in (1, 2):
+            assert contains(tailfloors._as_interval(tailfloors._enclose(spec, n, cert.terms, scale)),
+                            exact), (spec, n, scale)
+
+
+@pytest.mark.parametrize("spec", [TailSpec("B", "alt_even_sq"), TailSpec("C", "plain", l=2)],
+                         ids=["alt-even-sq-B", "plain-C-l2"])
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_certificate_ends_are_sized_to_the_floor(spec, n):
+    # Unrounded, the ends carry 5 to 11 times the floor's bits.
+    cert = certify_floor(spec, n)
+    floor_bits = abs(cert.value).bit_length()
+    assert max(abs(x).bit_length() for x in cert.ends) <= 4 * floor_bits + 256
+
+
+def exact_certificate(spec, n, max_terms=64):
+    """(value, terms) of certify_floor's loop run on refined_bracket's Fractions."""
+    lo = hi = None
+    terms = 2
+    while terms <= max_terms:
+        fresh = refined_bracket(spec, n, terms)
+        lo, hi = (fresh.lo, fresh.hi) if lo is None else (max(lo, fresh.lo), min(hi, fresh.hi))
+        if (lo > 0 or hi < 0) and math.floor(1 / hi) == math.floor(1 / lo):
+            return math.floor(1 / hi), terms
+        terms *= 2
+    return None
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=60_000), st.integers(min_value=1, max_value=60_000),
+       st.booleans(), st.booleans(), st.integers(min_value=0, max_value=2 ** 32))
+def test_floor_div_is_floor_division(x_bits, y_bits, x_neg, y_neg, seed):
+    # Quotients past 2^14 bits with a longer divisor take the Newton reciprocal.
+    rnd = random.Random(seed)
+    x = rnd.getrandbits(x_bits) * (-1 if x_neg else 1)
+    y = (rnd.getrandbits(y_bits) | 1 << (y_bits - 1)) * (-1 if y_neg else 1)
+    assert tailfloors._floor_div(x, y) == x // y
+    big = rnd.getrandbits(100_000) | 1 << 99_999
+    assert tailfloors._floor_div(x * big + y_bits, big) == x + y_bits // big
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(PLAN_SPECS), st.integers(min_value=0, max_value=400))
+def test_rounded_certificate_decides_as_the_exact_loop(spec, n):
+    n = max(n, threshold(spec))
+    cert = certify_floor(spec, n)
+    assert (cert.value, cert.terms) == exact_certificate(spec, n)
