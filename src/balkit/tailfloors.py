@@ -33,12 +33,14 @@ the exact one (tails of one sequence factor per summand start at 2F + 64,
 floors under 256 bits take the exact one alone).  A rounded enclosure
 contains refined_bracket's at the same terms, so the floor and the term count
 are the exact path's, while the ends carry a few times the floor's bits
-rather than 5 to 11 times.
+rather than 5 to 11 times.  Every enclosure, fresh or intersected, is checked
+for order through the reciprocal floors that read it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
@@ -243,24 +245,16 @@ def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tu
         raise ValueError(f"need terms >= 1, got {terms}")
     S, shape = partial(_memo, spec.sequence()), SHAPES[spec.shape]
     idxs = [shape.indices(k, spec.l) for k in range(n, n + terms + 1)]
-    # Summand j is +-nums[j] / D over the common denominator D, each index at
-    # the largest power any one summand has; indices at one power share it.
-    top = {i: max(ix.count(i) for ix in idxs) for ix in idxs for i in ix}
-
-    def power_product(powers: dict) -> int:
-        by_power = {}
-        for i, e in powers.items():
-            if e:
-                by_power[e] = by_power.get(e, 1) * S(i)
-        return math.prod(x ** e for e, x in by_power.items())
-
-    D = power_product(top)
-    nums = [power_product({i: e - ix.count(i) for i, e in top.items()}) for ix in idxs]
+    # Every summand is a product of distinct indices, or of one index p times,
+    # so summand j is +-nums[j] / D over D = (the product over every index)^p.
+    p, every = idxs[0].count(idxs[0][0]), sorted(set().union(*idxs))
+    D = math.prod(map(S, every)) ** p
+    nums = [math.prod(S(i) for i in every if i not in ix) ** p for ix in idxs]
     if shape.alternating and any(cur >= prev for prev, cur in zip(nums, nums[1:])):
         raise ArithmeticError(f"summands not strictly decreasing at {spec}, n={n}")
     total = sum(-x if shape.alternating and k % 2 else x for k, x in enumerate(nums[:terms], n))
-    bits = None if scale is None else scale * (D.bit_length() - abs(total).bit_length()) + 64
     # Rounded, everything is in units of 2^cut / D, with cut such that total keeps `bits` bits.
+    bits = None if scale is None else scale * (D.bit_length() - abs(total).bit_length()) + 64
     cut = 0 if bits is None else max(0, abs(total).bit_length() - bits)
     # Remainder magnitude bounds a / b, first the simple bracket's.
     bn, bd, steps = _growth(spec)
@@ -274,21 +268,28 @@ def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tu
     am, ap = ((gd - gn) * s1 * s1 + e * kappa * gd for e in (-1, 1))
     if am > bq:  # else the ratio interval reaches 1: keep the simple bracket
         # The ratio interval [a/b, c/d]: (bq/ap)^steps rounded down, (bq/am)^steps up.
-        (a, b), (c, d) = (_power(bq, x, steps, bits, up) for x, up in ((ap, False), (am, True)))
+        (a, b), (c, d) = _power(bq, ap, steps, bits, False), _power(bq, am, steps, bits, True)
         if c < d:  # always so unrounded
             if shape.alternating:
                 # R/mag lies in the nested fixed interval of y -> 1 - u*y.
                 w = b * d - a * c
                 (a, b), (c, d) = _round((d - c) * b, w, bits, False), _round((b - a) * d, w, bits, True)
-            else:  # R/mag lies in [1/(1 - a/b), 1/(1 - c/d)]
+            else:  # R/mag lies in [1/(1 - a/b), 1/(1 - c/d)], and at most rho/(rho - rd)
                 (a, b), (c, d) = (b, b - a), (d, d - c)
+                if rho * d <= c * (rho - rd):
+                    c, d = rho, rho - rd
             lo, ref = _round(a * N[0], b, bits, False), _round(c * N[1], d, bits, True)
-            if ref[0] * hi[1] < hi[0] * ref[1]:
+            # A positive remainder kept the lower of its two upper bounds above; an
+            # alternating one's simple bound, nums[terms - 1], is compared here.
+            if not shape.alternating or ref[0] < hi[0] * ref[1]:
                 hi = ref
     # An end is (total + sign * a/b) / D, sign that of the first omitted summand.
-    # D counts only to `bits` bits: it is rounded past them and shifted back.
     sign = -1 if shape.alternating and (n + terms) % 2 else 1
-    extra = 0 if bits is None else max(0, D.bit_length() - cut - bits - 64)
+    if bits is None:  # the loop below without its rounding calls, dearer than small ends' arithmetic
+        (a, b), (c, d) = (lo, hi)[::sign]
+        return total * b + sign * a, D * b, total * d + sign * c, D * d
+    # D counts only to `bits` bits: it is rounded past them and shifted back.
+    extra = max(0, D.bit_length() - cut - bits - 64)
     ends = ()
     for (a, b), up in zip((lo, hi)[::sign], (False, True)):
         num = _shift(total, cut, up) * b + sign * a
@@ -319,30 +320,57 @@ class CertifiedFloor(NamedTuple):
         return _as_interval(self.ends)
 
 
+# Quotients of more than this many bits take a Newton reciprocal, which beats
+# CPython's schoolbook division from about 2^16 quotient bits.  From 3.12 on,
+# CPython divides long integers in subquadratic time itself, faster than the
+# Newton path at every size, so it takes none.
+_NEWTON_BITS = 1 << 16 if sys.version_info < (3, 12) else math.inf
+
+
 def _reciprocal(y: int, m: int) -> int:
-    """About 4^m / y, within a few units, for y of m bits: past 2^14 bits, one
-    Newton step from the reciprocal of y's top half."""
-    if m <= 1 << 14:
+    """About 4^m / y, within a few units, for y of m bits: past _NEWTON_BITS,
+    one Newton step r + r (4^m - y r) / 4^m from r, the reciprocal of y's top
+    half, with the correction's product taken on its leading m/2 + 64 bits."""
+    if m <= _NEWTON_BITS:
         return (1 << 2 * m) // y
     h = m // 2 + 32
-    r = _reciprocal(y >> (m - h), h) << (m - h)
-    return r + (r * ((1 << 2 * m) - y * r) >> 2 * m)
+    r = _reciprocal(y >> (m - h), h)  # r << (m - h) is 4^m / y to about h bits
+    e = (1 << 2 * m) - (y * r << (m - h))  # of size about 4^m / 2^h
+    return (r << (m - h)) + (r * (e >> (m - 64)) >> (h + 64))
 
 
-def _floor_div(x: int, y: int) -> int:
-    """x // y for y != 0, from the reciprocal of y's leading bits, as many as
-    the quotient has plus 64, and an exact correction.  Schoolbook division
-    costs the quotient's length times y's; this costs its square, and past
-    2^14 bits a few products."""
+def _divmod(x: int, y: int) -> tuple[int, int]:
+    """divmod(x, y) for y != 0.  Past _NEWTON_BITS, the quotient comes from the
+    reciprocal of y's leading bits, as many as it has plus 64, within a few
+    units, and an exact correction."""
     if y < 0:
-        x, y = -x, -y
+        q, r = _divmod(-x, -y)
+        return q, -r
     m = abs(x).bit_length() - y.bit_length() + 64
-    if m <= 128:
-        return x // y
+    if m <= _NEWTON_BITS:
+        return divmod(x, y)
     t = y.bit_length() - m
     x_m, y_m = (x >> t, y >> t) if t >= 0 else (x << -t, y << -t)
-    q = x_m * _reciprocal(y_m, m) >> 2 * m
-    return q + _floor_div(x - q * y, y)
+    q = (x_m >> (m - 64)) * _reciprocal(y_m, m) >> (m + 64)
+    step, r = _divmod(x - q * y, y)
+    return q + step, r
+
+
+def _less(a: int, b: int, c: int, d: int) -> bool:
+    """a/b < c/d for b, d of one sign and both quotients in [0, 1).  Each is
+    first bracketed on the k leading bits of its denominator, k = 64 and then
+    half the longer one's length: only when neither tells is the product exact."""
+    if b < 0:
+        a, b, c, d = -a, -b, -c, -d
+    for k in (64, max(b.bit_length(), d.bit_length()) // 2 + 64):
+        s, t = max(0, b.bit_length() - k), max(0, d.bit_length() - k)
+        a_k, b_k, c_k, d_k = a >> s, b >> s, c >> t, d >> t  # a/b in (a_k/(b_k+1), (a_k+1)/b_k)
+        p, q = a_k * d_k, c_k * b_k
+        if p + a_k + d_k < q:  # (a_k+1)(d_k+1) <= c_k b_k
+            return True
+        if q + c_k + b_k < p:
+            return False
+    return a * d < c * b
 
 
 def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor:
@@ -353,8 +381,8 @@ def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor
     so the floor and the term count are those of the exact enclosures alone.
     Raises UndecidedIntervalError if the budget is exhausted first."""
     _require_valid_n(spec, n)
-    factors = SHAPES[spec.shape].indices(n, spec.l)
-    F = sum(_memo(spec.sequence(), i).bit_length() for i in factors)  # the floor's bits, about
+    S, factors = spec.sequence(), SHAPES[spec.shape].indices(n, spec.l)
+    F = sum(_memo(S, i).bit_length() for i in factors)  # the floor's bits, about
     # Below 256 bits the exact enclosure costs less than a rounded one.  With one
     # sequence factor per summand, 1/tail lies within about 2^-F of an integer,
     # which F + 64 bits cannot resolve: such tails start at 2F + 64.
@@ -366,15 +394,23 @@ def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor
             if current is not None:  # keep the larger lower end and the smaller upper end
                 (a, b, c, d), (e, f, g, h) = current, ends
                 ends = ((a, b) if a * f >= e * b else (e, f)) + ((c, d) if c * h <= g * d else (g, h))
-                if ends[0] * ends[3] > ends[2] * ends[1]:
-                    raise ArithmeticError(f"inconsistent enclosures for {spec}, n={n}")
             lo, lo_den, hi, hi_den = ends
-            # 1/x is decreasing on either side of 0, so 1/S ranges over [1/hi, 1/lo].
-            # Each floor is taken relative to the last one found, a short quotient.
-            if lo > 0 or hi < 0:
-                value += _floor_div(hi_den - value * hi, hi)
-                if _floor_div(lo_den - value * lo, lo) == 0:
-                    return CertifiedFloor(value, terms, ends)
+            if lo <= 0 <= hi:  # ordered, but straddling 0: no floor yet
+                continue
+            # 1/x is decreasing on either side of 0, so ends of one sign are ordered
+            # when 1/S spans [1/hi, 1/lo]: when floor(1/lo) - floor(1/hi) = q is
+            # positive, or 0 with the larger fractional part at 1/lo.  Each floor is
+            # taken relative to the last one found, a short quotient.
+            if (lo > 0) != (hi > 0) or lo == 0:
+                raise ArithmeticError(f"inconsistent enclosures for {spec}, n={n}")
+            step, r = _divmod(hi_den - value * hi, hi)
+            value += step  # 1/hi = value + r/hi
+            r_lo = lo_den - value * lo
+            q = r_lo // lo
+            if q < 0 or q == 0 and _less(r_lo, lo, r, hi):
+                raise ArithmeticError(f"inconsistent enclosures for {spec}, n={n}")
+            if q == 0:
+                return CertifiedFloor(value, terms, ends)
         current = ends
         terms *= 2
     raise UndecidedIntervalError(

@@ -310,6 +310,17 @@ def test_exact_ends_decide_when_the_rounded_do_not(monkeypatch, shape, n, scales
     assert (cert.value, cert.terms, cert.ends) == (4, 2, (10, 49, 10, 41))
 
 
+@pytest.mark.parametrize("ends", [(10, 41, 10, 49), (-10, 49, -10, 41), (1, 6, -1, 6)],
+                         ids=["positive", "negative", "signs"])
+def test_inverted_first_round_raises(monkeypatch, ends):
+    # lo > hi in the first round, fresh and not intersected.  In the first two
+    # cases both ends reciprocate to one floor (4, then -5); nothing is certified.
+    stub_rounds(monkeypatch, {2: ends})
+    with pytest.raises(ArithmeticError, match="inconsistent enclosures") as info:
+        certify_floor(TailSpec("B", "alt"), 3)
+    assert not isinstance(info.value, UndecidedIntervalError)
+
+
 def test_disjoint_rounds_raise(monkeypatch):
     stub_rounds(monkeypatch, {2: (1, 6, 10, 41), 4: (1, 2, 1, 1)})
     with pytest.raises(ArithmeticError, match="inconsistent enclosures") as info:
@@ -459,15 +470,35 @@ def exact_certificate(spec, n, max_terms=64):
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(min_value=0, max_value=60_000), st.integers(min_value=1, max_value=60_000),
-       st.booleans(), st.booleans(), st.integers(min_value=0, max_value=2 ** 32))
-def test_floor_div_is_floor_division(x_bits, y_bits, x_neg, y_neg, seed):
-    # Quotients past 2^14 bits with a longer divisor take the Newton reciprocal.
+       st.booleans(), st.booleans(), st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from([64, 1 << 10, tailfloors._NEWTON_BITS]))
+def test_divmod_is_divmod(x_bits, y_bits, x_neg, y_neg, seed, newton_bits):
+    # Before Python 3.12, quotients past 2^16 bits take the Newton reciprocal;
+    # the lower thresholds run it on every version and on short quotients.
     rnd = random.Random(seed)
     x = rnd.getrandbits(x_bits) * (-1 if x_neg else 1)
     y = (rnd.getrandbits(y_bits) | 1 << (y_bits - 1)) * (-1 if y_neg else 1)
-    assert tailfloors._floor_div(x, y) == x // y
     big = rnd.getrandbits(100_000) | 1 << 99_999
-    assert tailfloors._floor_div(x * big + y_bits, big) == x + y_bits // big
+    saved, tailfloors._NEWTON_BITS = tailfloors._NEWTON_BITS, newton_bits
+    try:
+        assert tailfloors._divmod(x, y) == divmod(x, y)
+        assert tailfloors._divmod(x * big + y_bits, big) == (x, y_bits)
+    finally:
+        tailfloors._NEWTON_BITS = saved
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=3000),
+       st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=-3, max_value=3), st.booleans())
+def test_less_compares_fractions(b_bits, d_bits, seed, nudge, negative):
+    # c/d within a few units of a/b at d's precision: near ties reach the exact products.
+    rnd = random.Random(seed)
+    b = rnd.getrandbits(b_bits) | 1 << (b_bits - 1)
+    d = rnd.getrandbits(d_bits) | 1 << (d_bits - 1)
+    a = rnd.randrange(b)
+    c = min(d - 1, max(0, a * d // b + nudge))
+    sign = -1 if negative else 1
+    assert tailfloors._less(sign * a, sign * b, sign * c, sign * d) == (Fraction(a, b) < Fraction(c, d))
 
 
 @settings(deadline=None, max_examples=60)
