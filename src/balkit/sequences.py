@@ -2,7 +2,15 @@
 Lucas, and generalized Fibonacci terms at arbitrary (including negative)
 indices.  All five are Lucas sequences, so one fast-doubling routine gives
 every term and the balancing pair, and one memo serves the modules that
-revisit indices; the linear pass in `values` stays as the independent route."""
+revisit indices; the linear pass in `values` stays as the independent route.
+
+The doubling step costs two squarings per bit.  Cassini's identity
+U(k+1) U(k-1) - U(k)^2 = -Q^(k-1) turns the cross product U(k) U(k-1) into
+squares, so U(2k-1) and U(2k+1) follow from U(k)^2 and U(k-1)^2 alone, and
+U(2k) from the recurrence U(2k+1) = P U(2k) - Q U(2k-1), a division by P
+that is exact because the recurrence holds in the integers.  Reduced mod m
+that division is not available (P may share a factor with m), so the
+modular route takes U(2k) as a product of word-sized residues instead."""
 
 from __future__ import annotations
 
@@ -44,35 +52,54 @@ def gen_fibonacci(a: int) -> Sequence:
     return Sequence("gen-fibonacci", a, 1, 0, 1)
 
 
+_FAMILIES = {"B": BALANCING, "C": LUCAS_BALANCING, "F": FIBONACCI, "L": LUCAS}
+
+
 def family(letter: str, a: int = 1) -> Sequence:
     """The family named by its letter: B, C, F, L, or G(a).  Only G takes a."""
     if letter == "G":
         return gen_fibonacci(a)
-    families = {"B": BALANCING, "C": LUCAS_BALANCING, "F": FIBONACCI, "L": LUCAS}
-    if letter not in families:
+    if letter not in _FAMILIES:
         raise ValueError(f"unknown family {letter!r} (expected B, C, F, L, or G)")
     if a != 1:
         raise ValueError(f"family {letter} takes no parameter a, got a={a}")
-    return families[letter]
+    return _FAMILIES[letter]
 
 
 def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, int]:
-    """(U(n), U(n+1)) of the Lucas sequence U(P, Q) at n >= 0 in O(log n)
-    multiplications, optionally reduced mod `modulus` after every step.
+    """(U(n), U(n+1)) of the Lucas sequence U(P, Q), Q = +-1, at n >= 0 in
+    two squarings per bit of n, optionally reduced mod `modulus` after every
+    step.
 
-    Division-free doubling: U(2k) = U(k) (2 U(k+1) - P U(k)) and
-    U(2k+1) = U(k+1)^2 - Q U(k)^2, which is one product when Q = 1; a set
-    bit then steps once with U(m+2) = P U(m+1) - Q U(m).
+    The ladder holds (U(k-1), U(k)) from k = 1 (k = 0, with U(-1) = -Q, when
+    n = 0) and reads a = U(k)^2 and b = U(k-1)^2.  Cassini's identity
+    U(k+1) U(k-1) - a = -Q^(k-1) gives P U(k) U(k-1) = a + Q b - Q^(k-1),
+    and with it
+        U(2k-1) = a - Q b,
+        U(2k+1) = U(k+1)^2 - Q a = (P^2 - 3Q) a - b + 2 Q^k,
+        U(2k)   = (U(2k+1) + Q U(2k-1)) / P,
+    the division exact because U(2k+1) = P U(2k) - Q U(2k-1) holds in the
+    integers.  Mod m the quotient need not exist (P may share a factor with
+    m), so that route, and P = 0, take U(2k) = U(k) (P U(k) - 2Q U(k-1)),
+    one product of residues.  At the end U(n+1) = P U(n) - Q U(n-1).
     """
-    u, u1 = 0, 1
-    for bit in bin(n)[2:]:
-        odd = (u1 - u) * (u1 + u) if q == 1 else u1 * u1 - q * u * u
-        u, u1 = u * (2 * u1 - p * u), odd
+    if q not in (1, -1):
+        raise ValueError(f"the term kernel needs Q = +-1, got Q = {q}")
+    c, two_q, divide = p * p - 3 * q, 2 * q, modulus is None and p != 0
+    # U(k-1), U(k), 2 Q^k at k = 1, the leading bit of n, or at k = 0 when n = 0
+    prev, u, two_qk = (0, 1, two_q) if n else (-q, 0, 2)
+    for bit in bin(n)[3:]:
+        a, b = u * u, prev * prev
+        lo, hi = a - q * b, c * a - b + two_qk  # U(2k-1), U(2k+1)
+        mid = (hi + q * lo) // p if divide else u * (p * u - two_q * prev)  # U(2k)
         if bit == "1":
-            u, u1 = u1, p * u1 - q * u
+            prev, u, two_qk = mid, hi, two_q
+        else:
+            prev, u, two_qk = lo, mid, 2
         if modulus is not None:
-            u, u1 = u % modulus, u1 % modulus
-    return u, u1
+            prev, u = prev % modulus, u % modulus
+    u1 = p * u - q * prev
+    return (u, u1) if modulus is None else (u % modulus, u1 % modulus)
 
 
 def _lucas_type(seq: Sequence) -> tuple[int, int, str]:

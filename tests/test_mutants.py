@@ -1,22 +1,23 @@
 """Mutant tests: a wrong closed-form constant must fail the verification plan.
 
 Each mutant changes one constant of a closed form (a tail-floor offset or
-backbone sign, a convolution row's sign, a generating-function coefficient, or
-a constant on the right of an identity) and runs the unit of `balkit
-verify-all` that checks it.  A mutant that passed would mean the plan's grid
-never reaches the closed form that the constant belongs to: the grid is then
-fixed, never the mutant.
+backbone sign, a convolution row's sign, a generating-function coefficient, a
+constant on the right of an identity, or a coefficient of the term kernel's
+doubling step) and runs the unit of `balkit verify-all` that checks it.  A
+mutant that passed would mean the plan's grid never reaches the closed form
+that the constant belongs to: the grid is then fixed, never the mutant.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import sys
 from functools import lru_cache
 
 import pytest
 
-from balkit import convolutions, genfunc, identities, tailfloors, verify
+from balkit import convolutions, genfunc, identities, sequences, tailfloors, verify
 
 
 def caught(cases, count=None):
@@ -25,6 +26,66 @@ def caught(cases, count=None):
     assert not skipped and (count is None or checked == count)
     assert failed > 0 and witness is not None, f"mutant survived {checked} checks"
     return witness
+
+
+def recompiled(func, old: str, new: str):
+    """`func` with its one expression that reads `old` replaced by `new`,
+    compiled against a copy of its module's namespace, so the module keeps
+    its own function."""
+    module = sys.modules[func.__module__]
+    tree = ast.parse(inspect.getsource(func))
+    hits = []
+
+    class Swap(ast.NodeTransformer):
+        def visit(self, node):
+            if isinstance(node, ast.expr) and ast.unparse(node) == old:
+                hits.append(node)
+                return ast.parse(new, mode="eval").body
+            return self.generic_visit(node)
+
+    tree = ast.fix_missing_locations(Swap().visit(tree))
+    assert len(hits) == 1, f"{old!r} occurs {len(hits)} times in {func.__name__}"
+    scope = dict(vars(module))
+    exec(compile(tree, module.__file__, "exec"), scope)
+    return scope[func.__name__]
+
+
+# -- the term kernel ----------------------------------------------------------------
+
+# (expression in sequences._lucas_u, its mutant, the units that must catch it)
+KERNEL_MUTANTS = [
+    ("p * p - 3 * q", "p * p - 2 * q", ("kernel",)),
+    ("a - q * b", "a + q * b", ("kernel",)),
+    # 2 Q^k is 2 whenever Q = 1, so the kernel unit (B and C only) cannot see
+    # this one; the units over F, L and G can.
+    ("c * a - b + two_qk", "c * a - b + 2", ("genfunc", "convolutions", "tailfloors")),
+]
+
+UNIT_SIZES = {"kernel": 7253, "genfunc": 144, "convolutions": 2460, "tailfloors": 895}
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty term and convolution-row memos before and after the test, so no
+    value computed by one kernel is read under another."""
+    def clear():
+        sequences._memo.cache_clear()
+        convolutions._row.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+@pytest.mark.parametrize("old, new, units", KERNEL_MUTANTS,
+                         ids=[f"{old} -> {new}" for old, new, _ in KERNEL_MUTANTS])
+def test_kernel_coefficient_fails_the_plan(monkeypatch, cold_memos, old, new, units):
+    mutant = recompiled(sequences._lucas_u, old, new)
+    # every module that binds the kernel by name
+    for module in (sequences, convolutions, genfunc):
+        monkeypatch.setattr(module, "_lucas_u", mutant)
+    for unit in units:
+        caught(getattr(verify, unit)(), UNIT_SIZES[unit])
 
 
 # -- tail floors ----------------------------------------------------------------
@@ -129,25 +190,6 @@ def test_negated_gf_coefficient_fails_the_plan(monkeypatch, part, index):
 
 
 # -- identities -------------------------------------------------------------------
-
-def recompiled(check, old: str, new: str):
-    """`check` with its one expression that reads `old` replaced by `new`."""
-    tree = ast.parse(inspect.getsource(check))
-    hits = []
-
-    class Swap(ast.NodeTransformer):
-        def visit(self, node):
-            if isinstance(node, ast.expr) and ast.unparse(node) == old:
-                hits.append(node)
-                return ast.parse(new, mode="eval").body
-            return self.generic_visit(node)
-
-    tree = ast.fix_missing_locations(Swap().visit(tree))
-    assert len(hits) == 1, f"{old!r} occurs {len(hits)} times in {check.__name__}"
-    scope = dict(vars(identities))  # the mutant sees the module; the module keeps its check
-    exec(compile(tree, identities.__file__, "exec"), scope)
-    return scope[check.__name__]
-
 
 # (identity name in verify.IDENTITY_GRIDS, expression, its mutant)
 IDENTITY_MUTANTS = [

@@ -25,6 +25,7 @@ from balkit import (
     term,
     values,
 )
+from balkit.sequences import Sequence, _lucas_u
 
 
 def iterate(mult, add, s0, s1, count):
@@ -261,6 +262,52 @@ def test_term_gen_fibonacci_matches_matrix_power(a, n):
 def test_pair_mod_matches_reduced_pair_fast(n, m):
     b, c = pair_fast(n)
     assert pair_mod(n, m) == (b % m, c % m)
+
+
+# -- pinned edge cases of the modular route ----------------------------------
+
+EDGE_MODULI = (1, 2, 3, 6, 12, 2 ** 61 - 1)
+
+
+@pytest.mark.parametrize("m", EDGE_MODULI)
+def test_pair_mod_at_the_first_indices(m):
+    # n <= 1 runs no doubling step, so only the final reduction brings U(1) = 1 to 0 mod 1.
+    for n in range(4):
+        b, c = pair_fast(n)
+        assert pair_mod(n, m) == (b % m, c % m)
+
+
+@pytest.mark.parametrize("seq", [FIBONACCI, LUCAS, gen_fibonacci(2)], ids=["F", "L", "G2"])
+@pytest.mark.parametrize("m", EDGE_MODULI)
+def test_kernel_mod_m_matches_the_reduced_exact_pair(seq, m):
+    p, q = seq.mult, -seq.add
+    us = iterate(p, -q, 0, 1, 202)
+    for n in list(range(40)) + [63, 64, 65, 127, 128, 200]:
+        u, u1 = _lucas_u(p, q, n, m)
+        assert (u, u1) == (us[n] % m, us[n + 1] % m)
+        assert (seq.seed0 * u1 + (seq.seed1 - p * seq.seed0) * u) % m == term(seq, n) % m
+
+
+@settings(deadline=None)
+@given(st.integers(-12, 12), st.sampled_from((1, -1)), st.integers(0, 3000),
+       st.one_of(st.integers(1, 64), st.integers(1, 10 ** 20)))
+def test_kernel_mod_m_matches_reduced_kernel(p, q, n, m):
+    # P = 0 and P sharing a factor with m both take the product for U(2k).
+    u, u1 = _lucas_u(p, q, n)
+    assert _lucas_u(p, q, n, m) == (u % m, u1 % m)
+
+
+def test_kernel_without_division_at_p_zero():
+    # U(0, Q) = 0, 1, 0, -Q, 0, Q^2, ...: the exact route cannot divide by P = 0.
+    for add in (1, -1):
+        assert [term(Sequence("p0", 0, add, 0, 1), n) for n in range(41)] == iterate(0, add, 0, 1, 41)
+
+
+def test_kernel_rejects_q_other_than_plus_minus_one():
+    with pytest.raises(ValueError, match="Q = 2"):
+        _lucas_u(3, 2, 5)
+    with pytest.raises(ValueError, match="Q = 2"):
+        term(Sequence("q2", 3, -2, 0, 1), 5)
 
 
 def test_term_memo_holds_only_requested_indices():
