@@ -160,7 +160,7 @@ def cmd_identity(args) -> tuple:
 # -- tailfloor -------------------------------------------------------------------
 
 _TAIL_NAMES = {f"{shape.replace('_', '-')}-{fam}": (fam, shape)
-               for shape, row in tails.SHAPES.items() for fam in row.families}
+               for shape, row in tails.SHAPES.items() for fam in row.offsets}
 
 
 def cmd_tailfloor(args) -> tuple:
@@ -185,6 +185,8 @@ def cmd_tailfloor(args) -> tuple:
 # -- verify-all ------------------------------------------------------------------
 
 def cmd_verify_all(args) -> tuple:
+    if args.budget is not None and not args.budget >= 0:  # NaN compares false
+        raise ValueError(f"--budget must be at least 0, got {args.budget}")
     deadline = float("inf") if args.budget is None else time.perf_counter() + args.budget
     items = []
     lines = []

@@ -71,7 +71,7 @@ class TailSpec(namedtuple("TailSpec", "family shape l a")):
     def __new__(cls, family: str, shape: str, l: int = 1, a: int = 1) -> TailSpec:
         if shape not in SHAPES:
             raise ValueError(f"unknown shape {shape!r}")
-        if family not in SHAPES[shape].families:
+        if family not in SHAPES[shape].offsets:
             raise ValueError(f"shape {shape} does not belong to family {family}")
         if shape == "plain" and l < 1:
             raise ValueError(f"plain shape needs l >= 1, got {l}")
@@ -86,41 +86,49 @@ class TailSpec(namedtuple("TailSpec", "family shape l a")):
 
 
 class _Shape(NamedTuple):
-    families: tuple[str, ...]
+    offsets: dict[str, tuple[int, int]]  # family -> (e, o) of the closed form below
     indices: Callable[[int, int], tuple[int, ...]]  # (k, l) -> factor indices
     alternating: bool
     threshold: int  # smallest valid n
     backbone: Callable[..., int]  # (S, n, l, a) -> x of the closed form below
 
 
-_BC, _G = ("B", "C"), ("G",)
-
 # Summand at k (running from n): sign / product of sequence values at indices.
+# A shape floors to x + e for even n and to x + o for odd n, negated when it
+# alternates, where x is its backbone and (e, o) its offsets for the family.
+# The offsets differ from the naive square/product analogy by small constants:
+# each records what the rigorous bracketer gives.  _ALT holds the alternating
+# B and C shapes' pair and _PROD the two next-but-one product shapes'.
+_ALT = {"B": (0, 1), "C": (-1, 0)}
+_PROD = {"B": (-1, 0), "C": (7, 8)}
+
 SHAPES: dict[str, _Shape] = {
-    "plain": _Shape(_BC, lambda k, l: (l * k,), False, 1,
+    "plain": _Shape({"B": (-1, -1), "C": (0, 0)}, lambda k, l: (l * k,), False, 1,
                     lambda S, n, l, a: S(l * n) - S(l * (n - 1))),
-    "alt": _Shape(_BC, lambda k, l: (k,), True, 1, lambda S, n, l, a: S(n) + S(n - 1)),
-    "alt_sq": _Shape(_BC, lambda k, l: (k, k), True, 1,
+    "alt": _Shape(_ALT, lambda k, l: (k,), True, 1, lambda S, n, l, a: S(n) + S(n - 1)),
+    "alt_sq": _Shape(_ALT, lambda k, l: (k, k), True, 1,
                      lambda S, n, l, a: S(n) ** 2 + S(n - 1) ** 2),
-    "alt_even_idx": _Shape(_BC, lambda k, l: (2 * k,), True, 1,
+    "alt_even_idx": _Shape(_ALT, lambda k, l: (2 * k,), True, 1,
                            lambda S, n, l, a: S(2 * n) + S(2 * n - 2)),
-    "alt_odd_idx": _Shape(_BC, lambda k, l: (2 * k + 1,), True, 1,
+    "alt_odd_idx": _Shape(_ALT, lambda k, l: (2 * k + 1,), True, 1,
                           lambda S, n, l, a: S(2 * n + 1) + S(2 * n - 1)),
-    "alt_consec_prod": _Shape(_BC, lambda k, l: (k, k + 1), True, 1,
+    "alt_consec_prod": _Shape({**_ALT, "C": (-2, -1)}, lambda k, l: (k, k + 1), True, 1,
                               lambda S, n, l, a: S(n) * S(n + 1) + S(n - 1) * S(n)),
-    "alt_even_sq": _Shape(_BC, lambda k, l: (2 * k, 2 * k), True, 1,
+    "alt_even_sq": _Shape(_ALT, lambda k, l: (2 * k, 2 * k), True, 1,
                           lambda S, n, l, a: S(2 * n) ** 2 + S(2 * n - 2) ** 2),
-    "alt_odd_sq": _Shape(_BC, lambda k, l: (2 * k - 1, 2 * k - 1), True, 2,
+    "alt_odd_sq": _Shape(_ALT, lambda k, l: (2 * k - 1, 2 * k - 1), True, 2,
                          lambda S, n, l, a: S(2 * n - 1) ** 2 + S(2 * n - 3) ** 2),
-    "alt_oddprod": _Shape(_BC, lambda k, l: (2 * k - 1, 2 * k + 1), True, 1,
+    "alt_oddprod": _Shape(_PROD, lambda k, l: (2 * k - 1, 2 * k + 1), True, 1,
                           lambda S, n, l, a: S(2 * n) ** 2 + S(2 * n - 2) ** 2),
-    "alt_evenprod": _Shape(_BC, lambda k, l: (2 * k, 2 * k + 2), True, 1,
+    "alt_evenprod": _Shape(_PROD, lambda k, l: (2 * k, 2 * k + 2), True, 1,
                            lambda S, n, l, a: S(2 * n + 1) ** 2 + S(2 * n - 1) ** 2),
-    "gf_plain": _Shape(_G, lambda k, l: (k,), False, 1, lambda S, n, l, a: S(n) - S(n - 1)),
-    "gf_sq": _Shape(_G, lambda k, l: (k, k), False, 1, lambda S, n, l, a: a * S(n - 1) * S(n)),
-    "gf_even_idx": _Shape(_G, lambda k, l: (2 * k,), False, 1,
+    "gf_plain": _Shape({"G": (0, -1)}, lambda k, l: (k,), False, 1,
+                       lambda S, n, l, a: S(n) - S(n - 1)),
+    "gf_sq": _Shape({"G": (-1, 0)}, lambda k, l: (k, k), False, 1,
+                    lambda S, n, l, a: a * S(n - 1) * S(n)),
+    "gf_even_idx": _Shape({"G": (-1, -1)}, lambda k, l: (2 * k,), False, 1,
                           lambda S, n, l, a: S(2 * n) - S(2 * n - 2)),
-    "gf_odd_idx": _Shape(_G, lambda k, l: (2 * k - 1,), False, 2,
+    "gf_odd_idx": _Shape({"G": (0, 0)}, lambda k, l: (2 * k - 1,), False, 2,
                          lambda S, n, l, a: S(2 * n - 1) - S(2 * n - 3)),
 }
 
@@ -136,26 +144,13 @@ def _require_valid_n(spec: TailSpec, n: int) -> None:
 
 
 # -- closed forms -------------------------------------------------------------
-#
-# A shape floors to x + e for even n and to x + o for odd n, negated when it
-# alternates, where x is its backbone in SHAPES.  (e, o) is (0, 1) for the
-# alternating B shapes and (-1, 0) for the C ones.  Plain and G shapes have
-# their own, as do the exceptions, which differ from the naive square/product
-# analogy by small constants: each records what the rigorous bracketer gives.
-
-_OFFSETS = {"B": (0, 1), "C": (-1, 0), ("B", "plain"): (-1, -1), ("C", "plain"): (0, 0),
-            ("B", "alt_oddprod"): (-1, 0), ("B", "alt_evenprod"): (-1, 0),
-            ("C", "alt_consec_prod"): (-2, -1), ("C", "alt_oddprod"): (7, 8),
-            ("C", "alt_evenprod"): (7, 8), ("G", "gf_plain"): (0, -1), ("G", "gf_sq"): (-1, 0),
-            ("G", "gf_even_idx"): (-1, -1), ("G", "gf_odd_idx"): (0, 0)}
-
 
 def closed_floor(spec: TailSpec, n: int) -> int:
     """Closed-form value of floor(1 / tail(spec, n)); floor is toward -infinity."""
     _require_valid_n(spec, n)
     shape = SHAPES[spec.shape]
     x = shape.backbone(partial(_memo, spec.sequence()), n, spec.l, spec.a)
-    e, o = _OFFSETS.get((spec.family, spec.shape)) or _OFFSETS[spec.family]
+    e, o = shape.offsets[spec.family]
     if n % 2 == 0:
         return x + e
     return -(x + o) if shape.alternating else x + o
@@ -166,13 +161,15 @@ def closed_floor(spec: TailSpec, n: int) -> int:
 def _growth(spec: TailSpec) -> tuple[int, int, int]:
     """(num, den, steps): num/den bounds S(m+1)/S(m) below, and the shape's
     factors advance `steps` indices per summand, so (num/den)^steps bounds
-    the summand ratio.  B and C terms at least quintuple per index step (from
-    index 1 resp. 2 on); G terms satisfy G(m+1)(a+1) >= (a^2+a+1) G(m) for
-    m >= 2, since G(m) <= (a+1) G(m-1) there.
+    the summand ratio.  With P = mult and Q = -add, from m = 2 on: for Q = 1
+    the terms increase, so S(m+1) = P S(m) - S(m-1) >= (P - 1) S(m); for
+    Q = -1, S(m+1) = P S(m) + S(m-1) and S(m) <= (P + 1) S(m-1) give
+    (P + 1) S(m+1) >= (P^2 + P + 1) S(m).
     """
-    idx, a = SHAPES[spec.shape].indices, spec.a
+    idx, seq = SHAPES[spec.shape].indices, spec.sequence()
     steps = sum(idx(11, spec.l)) - sum(idx(10, spec.l))
-    return (5, 1, steps) if spec.family in ("B", "C") else (a * a + a + 1, a + 1, steps)
+    p, q = seq.mult, -seq.add
+    return (p - 1, 1, steps) if q == 1 else (p * p + p + 1, p + 1, steps)
 
 
 def bracket_tail(spec: TailSpec, n: int, terms: int) -> Interval:

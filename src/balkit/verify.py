@@ -121,10 +121,10 @@ def tailfloors():
         return _agree(tails.closed_floor(spec, n), tails.verified_floor(spec, n, max_terms=16))
 
     specs = [tails.TailSpec(fam, shape, l=l)
-             for fam in ("B", "C") for shape, row in tails.SHAPES.items() if fam in row.families
+             for fam in ("B", "C") for shape, row in tails.SHAPES.items() if fam in row.offsets
              for l in ((1, 2, 3) if shape == "plain" else (1,))]
     specs += [tails.TailSpec("G", shape, a=a)
-              for a in (1, 2, 3) for shape, row in tails.SHAPES.items() if "G" in row.families]
+              for a in (1, 2, 3) for shape, row in tails.SHAPES.items() if "G" in row.offsets]
     for spec in specs:
         for n in range(tails.threshold(spec), 26):
             yield "tailfloor", check, (spec, n)

@@ -240,6 +240,16 @@ def test_verify_all_small_budget_skips(capsys):
     assert any(it.get("skipped") for it in report["items"])
 
 
+@pytest.mark.parametrize("budget", ["-0.5", "nan", "-inf"])
+def test_verify_all_budget_below_zero_exit_2(tmp_path, capsys, budget):
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify-all", f"--budget={budget}", "--format", "json",
+                         "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not path.exists()
+
+
 def test_verify_all_budget_stops_inside_a_unit(capsys, monkeypatch):
     from balkit import verify
 

@@ -18,6 +18,9 @@ from functools import lru_cache
 import pytest
 
 from balkit import convolutions, genfunc, identities, sequences, tailfloors, verify
+from test_acceptance import PLAN_COUNTS
+
+UNIT_SIZES = dict(PLAN_COUNTS)
 
 
 def caught(cases, count=None):
@@ -61,8 +64,6 @@ KERNEL_MUTANTS = [
     ("c * a - b + two_qk", "c * a - b + 2", ("genfunc", "convolutions", "tailfloors")),
 ]
 
-UNIT_SIZES = {"kernel": 7253, "genfunc": 144, "convolutions": 2460, "tailfloors": 895}
-
 
 @pytest.fixture
 def cold_memos():
@@ -90,30 +91,31 @@ def test_kernel_coefficient_fails_the_plan(monkeypatch, cold_memos, old, new, un
 
 # -- tail floors ----------------------------------------------------------------
 
-MUTANTS = [(key, parity, delta) for key in tailfloors._OFFSETS
-           for parity in (0, 1) for delta in (-1, 1)]
+MUTANTS = [(shape, family, parity, delta) for shape, row in tailfloors.SHAPES.items()
+           for family in row.offsets for parity in (0, 1) for delta in (-1, 1)]
 
 
-def mutant_id(key, parity, delta):
-    name = key if isinstance(key, str) else "-".join(key)
-    return f"{name} {'eo'[parity]}{delta:+d}"
+def mutant_id(shape, family, parity, delta):
+    return f"{family}-{shape} {'eo'[parity]}{delta:+d}"
 
 
 def test_every_offset_has_its_mutants():
-    assert len(tailfloors._OFFSETS) == 13 and len(MUTANTS) == 52
+    # 10 shapes of B and C and 4 of G, each offset pair shifted at both parities
+    assert len(MUTANTS) == (10 * 2 + 4) * 4 == 96
 
 
-@pytest.mark.parametrize("key, parity, delta", MUTANTS, ids=[mutant_id(*m) for m in MUTANTS])
-def test_shifted_tail_offset_fails_the_plan(monkeypatch, key, parity, delta):
-    # The offset pair is (e, o): e applies at even n and o at odd n.
-    offsets = list(tailfloors._OFFSETS[key])
-    offsets[parity] += delta
-    monkeypatch.setitem(tailfloors._OFFSETS, key, tuple(offsets))
-    spec, n = caught(verify.tailfloors(), 895)["params"]
-    family = key if isinstance(key, str) else key[0]
-    assert f"family='{family}'" in spec
-    if not isinstance(key, str):
-        assert f"shape='{key[1]}'" in spec
+@pytest.mark.parametrize("shape, family, parity, delta", MUTANTS,
+                         ids=[mutant_id(*m) for m in MUTANTS])
+def test_shifted_tail_offset_fails_the_plan(monkeypatch, shape, family, parity, delta):
+    # The offset pair is (e, o): e applies at even n and o at odd n.  The row is
+    # replaced, never edited: shapes share their offset dicts.
+    row = tailfloors.SHAPES[shape]
+    pair = list(row.offsets[family])
+    pair[parity] += delta
+    mutant = row._replace(offsets={**row.offsets, family: tuple(pair)})
+    monkeypatch.setitem(tailfloors.SHAPES, shape, mutant)
+    spec, n = caught(verify.tailfloors(), UNIT_SIZES["tailfloors"])["params"]
+    assert f"family='{family}'" in spec and f"shape='{shape}'" in spec
     assert n % 2 == parity
 
 
@@ -147,7 +149,7 @@ def test_every_shape_has_a_backbone_mutant():
 def test_flipped_backbone_fails_the_plan(monkeypatch, shape):
     row = tailfloors.SHAPES[shape]
     monkeypatch.setitem(tailfloors.SHAPES, shape, row._replace(backbone=BACKBONES[shape]))
-    spec, _ = caught(verify.tailfloors(), 895)["params"]
+    spec, _ = caught(verify.tailfloors(), UNIT_SIZES["tailfloors"])["params"]
     assert f"shape='{shape}'" in spec
 
 
@@ -170,7 +172,7 @@ def test_mutated_convolution_row_fails_the_plan(monkeypatch, name):
         return (*ROW_MUTANTS[name](*weights), last)
 
     monkeypatch.setattr(convolutions, "_row", mutant)
-    caught(verify.convolutions(), 2460)
+    caught(verify.convolutions(), UNIT_SIZES["convolutions"])
 
 
 # -- generating functions ----------------------------------------------------------
@@ -186,7 +188,7 @@ def test_negated_gf_coefficient_fails_the_plan(monkeypatch, part, index):
         return g._replace(**{part: tuple(coeffs)})
 
     monkeypatch.setattr(genfunc, "gf", mutant)
-    caught(verify.genfunc(), 144)
+    caught(verify.genfunc(), UNIT_SIZES["genfunc"])
 
 
 # -- identities -------------------------------------------------------------------

@@ -167,18 +167,20 @@ def test_alternating_tail_sign():
 
 
 def test_growth_lemmas():
-    bs = values(BALANCING, 0, 502)
-    cs = values(LUCAS_BALANCING, 0, 502)
-    for m in range(1, 501):
-        assert bs[m + 1] >= 5 * bs[m]
-        assert cs[m + 1] >= 5 * cs[m]
-    for a in (1, 2, 3):
-        gs = values(gen_fibonacci(a), 0, 502)
-        for m in range(1, 501):
-            assert gs[m + 1] >= a * gs[m]
-        # sharper per-step bound used by the brackets, valid from index 2
+    # _growth's num/den bounds S(m+1)/S(m) below from m = 2 on, for every plan
+    # spec and for G(a), a <= 5: 5/1 for B and C, (a^2 + a + 1)/(a + 1) for G(a).
+    specs = {case[2][0] for case in verify.tailfloors()}
+    specs |= {TailSpec("G", shape, a=a) for shape in G_SHAPE_KEYS for a in range(1, 6)}
+    terms = {seq: values(seq, 0, 501) for seq in {spec.sequence() for spec in specs}}
+    for spec in specs:
+        num, den, _ = tailfloors._growth(spec)
+        if spec.family == "G":
+            assert (num, den) == (spec.a ** 2 + spec.a + 1, spec.a + 1), spec
+        else:
+            assert (num, den) == (5, 1), spec
+        s = terms[spec.sequence()]
         for m in range(2, 501):
-            assert (a + 1) * gs[m + 1] >= (a * a + a + 1) * gs[m]
+            assert num * s[m] <= den * s[m + 1], (spec, m)
 
 
 def test_cross_identity_constants():
