@@ -292,6 +292,10 @@ def _main(argv: list[str] | None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        if args.command != "identity" and args.jobs != 1:
+            raise ValueError(f"{args.command} does not read --jobs")
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         params, items, checked, failed, lines = args.fn(args)
         report = {"schema": SCHEMA_VERSION, "command": args.command, "params": params,
                   "items": items,

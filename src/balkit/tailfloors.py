@@ -40,7 +40,6 @@ for order through the reciprocal floors that read it.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
@@ -218,8 +217,6 @@ def _round(x: int, y: int, bits: int | None, up: bool) -> tuple[int, int]:
 def _power(x: int, y: int, k: int, bits: int | None, up: bool) -> tuple[int, int]:
     """(x/y)^k for x, y > 0 and k >= 1 by squaring, rounded as _round rounds
     after every product."""
-    if bits is None:
-        return x ** k, y ** k
     x, y = p = _round(x, y, bits, up)
     for bit in bin(k)[3:]:
         p = _round(p[0] * p[0], p[1] * p[1], bits, up)
@@ -317,42 +314,6 @@ class CertifiedFloor(NamedTuple):
         return _as_interval(self.ends)
 
 
-# Quotients of more than this many bits take a Newton reciprocal, which beats
-# CPython's schoolbook division from about 2^16 quotient bits.  From 3.12 on,
-# CPython divides long integers in subquadratic time itself, faster than the
-# Newton path at every size, so it takes none.
-_NEWTON_BITS = 1 << 16 if sys.version_info < (3, 12) else math.inf
-
-
-def _reciprocal(y: int, m: int) -> int:
-    """About 4^m / y, within a few units, for y of m bits: past _NEWTON_BITS,
-    one Newton step r + r (4^m - y r) / 4^m from r, the reciprocal of y's top
-    half, with the correction's product taken on its leading m/2 + 64 bits."""
-    if m <= _NEWTON_BITS:
-        return (1 << 2 * m) // y
-    h = m // 2 + 32
-    r = _reciprocal(y >> (m - h), h)  # r << (m - h) is 4^m / y to about h bits
-    e = (1 << 2 * m) - (y * r << (m - h))  # of size about 4^m / 2^h
-    return (r << (m - h)) + (r * (e >> (m - 64)) >> (h + 64))
-
-
-def _divmod(x: int, y: int) -> tuple[int, int]:
-    """divmod(x, y) for y != 0.  Past _NEWTON_BITS, the quotient comes from the
-    reciprocal of y's leading bits, as many as it has plus 64, within a few
-    units, and an exact correction."""
-    if y < 0:
-        q, r = _divmod(-x, -y)
-        return q, -r
-    m = abs(x).bit_length() - y.bit_length() + 64
-    if m <= _NEWTON_BITS:
-        return divmod(x, y)
-    t = y.bit_length() - m
-    x_m, y_m = (x >> t, y >> t) if t >= 0 else (x << -t, y << -t)
-    q = (x_m >> (m - 64)) * _reciprocal(y_m, m) >> (m + 64)
-    step, r = _divmod(x - q * y, y)
-    return q + step, r
-
-
 def _less(a: int, b: int, c: int, d: int) -> bool:
     """a/b < c/d for b, d of one sign and both quotients in [0, 1).  Each is
     first bracketed on the k leading bits of its denominator, k = 64 and then
@@ -400,7 +361,7 @@ def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor
             # taken relative to the last one found, a short quotient.
             if (lo > 0) != (hi > 0) or lo == 0:
                 raise ArithmeticError(f"inconsistent enclosures for {spec}, n={n}")
-            step, r = _divmod(hi_den - value * hi, hi)
+            step, r = divmod(hi_den - value * hi, hi)
             value += step  # 1/hi = value + r/hi
             r_lo = lo_den - value * lo
             q = r_lo // lo

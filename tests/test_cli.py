@@ -408,6 +408,25 @@ def test_identity_is_serial_unless_jobs_asks(capsys, monkeypatch):
     assert entered == []
 
 
+@pytest.mark.parametrize("argv", [("seq", "B", "--from", "0", "--to", "3"),
+                                  ("gf", "B", "--k", "1", "--r", "0", "--terms", "3"),
+                                  ("conv", "B", "--k", "2", "--r", "1", "--n", "3"),
+                                  ("tailfloor", "alt-B", "--n", "2"),
+                                  ("verify-all", "--budget", "0"),
+                                  ("identity", "gcd", "--max", "3")],
+                         ids=" ".join)
+def test_jobs_only_where_read(tmp_path, capsys, argv):
+    # Only identity reads --jobs, and only N >= 1; --jobs 1 is valid everywhere.
+    path = tmp_path / "report.json"
+    for jobs in ("0", "-1") if argv[0] == "identity" else ("2",):
+        code, out, err = run(capsys, *argv, "--jobs", jobs, "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not path.exists()
+    code, _, err = run(capsys, *argv, "--jobs", "1", "--output", str(path))
+    assert (code, err) == (0, "") and path.exists()
+
+
 def test_unwritable_output_exit_2(tmp_path, capsys):
     path = tmp_path / "missing" / "report.json"
     code, out, err = run(capsys, "seq", "B", "--from", "0", "--to", "3", "--output", str(path))

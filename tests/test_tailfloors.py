@@ -470,25 +470,6 @@ def exact_certificate(spec, n, max_terms=64):
     return None
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.integers(min_value=0, max_value=60_000), st.integers(min_value=1, max_value=60_000),
-       st.booleans(), st.booleans(), st.integers(min_value=0, max_value=2 ** 32),
-       st.sampled_from([64, 1 << 10, tailfloors._NEWTON_BITS]))
-def test_divmod_is_divmod(x_bits, y_bits, x_neg, y_neg, seed, newton_bits):
-    # Before Python 3.12, quotients past 2^16 bits take the Newton reciprocal;
-    # the lower thresholds run it on every version and on short quotients.
-    rnd = random.Random(seed)
-    x = rnd.getrandbits(x_bits) * (-1 if x_neg else 1)
-    y = (rnd.getrandbits(y_bits) | 1 << (y_bits - 1)) * (-1 if y_neg else 1)
-    big = rnd.getrandbits(100_000) | 1 << 99_999
-    saved, tailfloors._NEWTON_BITS = tailfloors._NEWTON_BITS, newton_bits
-    try:
-        assert tailfloors._divmod(x, y) == divmod(x, y)
-        assert tailfloors._divmod(x * big + y_bits, big) == (x, y_bits)
-    finally:
-        tailfloors._NEWTON_BITS = saved
-
-
 @settings(deadline=None, max_examples=200)
 @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=3000),
        st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=-3, max_value=3), st.booleans())
