@@ -160,7 +160,7 @@ def cmd_identity(args) -> tuple:
 # -- tailfloor -------------------------------------------------------------------
 
 _TAIL_NAMES = {f"{shape.replace('_', '-')}-{fam}": (fam, shape)
-               for shape, row in tails.SHAPES.items() for fam in row.offsets}
+               for shape, row in tails.SHAPES.items() for fam in row.families}
 
 
 def cmd_tailfloor(args) -> tuple:

@@ -102,6 +102,7 @@ def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, i
     return (u, u1) if modulus is None else (u % modulus, u1 % modulus)
 
 
+@lru_cache(maxsize=None)
 def _lucas_type(seq: Sequence) -> tuple[int, int, str]:
     """(P, Q, kind) of a family that is U(P, Q) itself (kind "U", seeds 0, 1)
     or V(P, Q)/s with s = 2/S(0) (kind "V"), where Q = -add is +-1 and

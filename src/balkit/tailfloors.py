@@ -7,6 +7,10 @@ the known closed form for floor(1 / tail); verified_floor certifies the same
 integer from scratch by enclosing the tail in exact rational intervals and
 tightening until the reciprocal floor is pinned down, never guessing.
 
+Every shape is one SHAPES row of data: summand k >= n is +-1 / d(k), d(k)
+the product of S(L k + j + f) over the row's factors f, and every closed
+form is the backbone d(n) -+ d(n-1) plus an offset (closed_floor, _offset).
+
 Two enclosures are provided.  bracket_tail is the textbook one, kept in
 Fractions as the reference: consecutive partial sums for alternating series,
 partial sum plus a geometric majorant for positive ones.  The certification
@@ -43,9 +47,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .sequences import Sequence, _memo, family
+from .sequences import Sequence, _lucas_type, _memo, family
 
 
 class Interval(NamedTuple):
@@ -63,14 +67,15 @@ class UndecidedIntervalError(ArithmeticError):
 
 class TailSpec(namedtuple("TailSpec", "family shape l a")):
     """family 'B' | 'C' | 'G', a shape key from SHAPES, stride l for the
-    plain shape and parameter a for the G family, each 1 elsewhere."""
+    plain shape and parameter a for the G family, each 1 elsewhere.  The
+    row's stride is multiplied by l: plain's summand k is 1 / S(l k)."""
 
     __slots__ = ()
 
     def __new__(cls, family: str, shape: str, l: int = 1, a: int = 1) -> TailSpec:
         if shape not in SHAPES:
             raise ValueError(f"unknown shape {shape!r}")
-        if family not in SHAPES[shape].offsets:
+        if family not in SHAPES[shape].families:
             raise ValueError(f"shape {shape} does not belong to family {family}")
         if shape == "plain" and l < 1:
             raise ValueError(f"plain shape needs l >= 1, got {l}")
@@ -84,56 +89,33 @@ class TailSpec(namedtuple("TailSpec", "family shape l a")):
         return family(self.family, self.a)
 
 
-class _Shape(NamedTuple):
-    offsets: dict[str, tuple[int, int]]  # family -> (e, o) of the closed form below
-    indices: Callable[[int, int], tuple[int, ...]]  # (k, l) -> factor indices
-    alternating: bool
-    threshold: int  # smallest valid n
-    backbone: Callable[..., int]  # (S, n, l, a) -> x of the closed form below
+# A row's summand k is +-1 / prod_f S(L k + j + f) over its factors f, L = l times
+# the spec's l.  Offsets, family -> (e, o), are held only where _offset's rule fails.
+_Shape = namedtuple("_Shape", "families l j factors alternating offsets", defaults=(None,))
 
-
-# Summand at k (running from n): sign / product of sequence values at indices.
-# A shape floors to x + e for even n and to x + o for odd n, negated when it
-# alternates, where x is its backbone and (e, o) its offsets for the family.
-# The offsets differ from the naive square/product analogy by small constants:
-# each records what the rigorous bracketer gives.  _ALT holds the alternating
-# B and C shapes' pair and _PROD the two next-but-one product shapes'.
-_ALT = {"B": (0, 1), "C": (-1, 0)}
-_PROD = {"B": (-1, 0), "C": (7, 8)}
 
 SHAPES: dict[str, _Shape] = {
-    "plain": _Shape({"B": (-1, -1), "C": (0, 0)}, lambda k, l: (l * k,), False, 1,
-                    lambda S, n, l, a: S(l * n) - S(l * (n - 1))),
-    "alt": _Shape(_ALT, lambda k, l: (k,), True, 1, lambda S, n, l, a: S(n) + S(n - 1)),
-    "alt_sq": _Shape(_ALT, lambda k, l: (k, k), True, 1,
-                     lambda S, n, l, a: S(n) ** 2 + S(n - 1) ** 2),
-    "alt_even_idx": _Shape(_ALT, lambda k, l: (2 * k,), True, 1,
-                           lambda S, n, l, a: S(2 * n) + S(2 * n - 2)),
-    "alt_odd_idx": _Shape(_ALT, lambda k, l: (2 * k + 1,), True, 1,
-                          lambda S, n, l, a: S(2 * n + 1) + S(2 * n - 1)),
-    "alt_consec_prod": _Shape({**_ALT, "C": (-2, -1)}, lambda k, l: (k, k + 1), True, 1,
-                              lambda S, n, l, a: S(n) * S(n + 1) + S(n - 1) * S(n)),
-    "alt_even_sq": _Shape(_ALT, lambda k, l: (2 * k, 2 * k), True, 1,
-                          lambda S, n, l, a: S(2 * n) ** 2 + S(2 * n - 2) ** 2),
-    "alt_odd_sq": _Shape(_ALT, lambda k, l: (2 * k - 1, 2 * k - 1), True, 2,
-                         lambda S, n, l, a: S(2 * n - 1) ** 2 + S(2 * n - 3) ** 2),
-    "alt_oddprod": _Shape(_PROD, lambda k, l: (2 * k - 1, 2 * k + 1), True, 1,
-                          lambda S, n, l, a: S(2 * n) ** 2 + S(2 * n - 2) ** 2),
-    "alt_evenprod": _Shape(_PROD, lambda k, l: (2 * k, 2 * k + 2), True, 1,
-                           lambda S, n, l, a: S(2 * n + 1) ** 2 + S(2 * n - 1) ** 2),
-    "gf_plain": _Shape({"G": (0, -1)}, lambda k, l: (k,), False, 1,
-                       lambda S, n, l, a: S(n) - S(n - 1)),
-    "gf_sq": _Shape({"G": (-1, 0)}, lambda k, l: (k, k), False, 1,
-                    lambda S, n, l, a: a * S(n - 1) * S(n)),
-    "gf_even_idx": _Shape({"G": (-1, -1)}, lambda k, l: (2 * k,), False, 1,
-                          lambda S, n, l, a: S(2 * n) - S(2 * n - 2)),
-    "gf_odd_idx": _Shape({"G": (0, 0)}, lambda k, l: (2 * k - 1,), False, 2,
-                         lambda S, n, l, a: S(2 * n - 1) - S(2 * n - 3)),
+    "plain": _Shape(("B", "C"), 1, 0, (0,), False),
+    "alt": _Shape(("B", "C"), 1, 0, (0,), True),
+    "alt_sq": _Shape(("B", "C"), 1, 0, (0, 0), True),
+    "alt_even_idx": _Shape(("B", "C"), 2, 0, (0,), True),
+    "alt_odd_idx": _Shape(("B", "C"), 2, 1, (0,), True),
+    "alt_consec_prod": _Shape(("B", "C"), 1, 0, (0, 1), True, {"B": (0, 1), "C": (-2, -1)}),
+    "alt_even_sq": _Shape(("B", "C"), 2, 0, (0, 0), True),
+    "alt_odd_sq": _Shape(("B", "C"), 2, -1, (0, 0), True),
+    "alt_oddprod": _Shape(("B", "C"), 2, 0, (-1, 1), True, {"B": (1, 2), "C": (-9, -8)}),
+    "alt_evenprod": _Shape(("B", "C"), 2, 1, (-1, 1), True, {"B": (1, 2), "C": (-9, -8)}),
+    "gf_plain": _Shape(("G",), 1, 0, (0,), False),
+    "gf_sq": _Shape(("G",), 1, 0, (0, 0), False),
+    "gf_even_idx": _Shape(("G",), 2, 0, (0,), False),
+    "gf_odd_idx": _Shape(("G",), 2, -1, (0,), False),
 }
 
 
 def threshold(spec: TailSpec) -> int:
-    return SHAPES[spec.shape].threshold
+    """The smallest n >= 1 at which the backbone's lower index L(n-1) + j is not negative."""
+    row = SHAPES[spec.shape]
+    return 1 - row.j // (row.l * spec.l) if row.j < 0 else 1
 
 
 def _require_valid_n(spec: TailSpec, n: int) -> None:
@@ -144,31 +126,45 @@ def _require_valid_n(spec: TailSpec, n: int) -> None:
 
 # -- closed forms -------------------------------------------------------------
 
+def _offset(spec: TailSpec, S: Sequence, n: int) -> int:
+    """The closed form's offset at n, S = spec.sequence(): a product row's e at
+    even n and o at odd n, else the rule.  With (P, Q, kind) S's Lucas type,
+    delta is 1 when Q = -1 and L(n-1) + j is odd, else 0, and eta is delta for
+    U-type and 1 - delta for V-type families: a positive tail adds eta - 1, an
+    alternating one n % 2 - eta."""
+    row = SHAPES[spec.shape]
+    if row.offsets is not None:
+        return row.offsets[spec.family][n % 2]
+    _, q, kind = _lucas_type(S)
+    delta = (row.l * spec.l * (n - 1) + row.j) % 2 if q == -1 else 0
+    eta = delta if kind == "U" else 1 - delta
+    return n % 2 - eta if row.alternating else eta - 1
+
+
 def closed_floor(spec: TailSpec, n: int) -> int:
-    """Closed-form value of floor(1 / tail(spec, n)); floor is toward -infinity."""
+    """floor(1 / tail(spec, n)), toward -infinity, from the backbone d(n) -+ d(n-1)."""
     _require_valid_n(spec, n)
-    shape = SHAPES[spec.shape]
-    x = shape.backbone(partial(_memo, spec.sequence()), n, spec.l, spec.a)
-    e, o = shape.offsets[spec.family]
-    if n % 2 == 0:
-        return x + e
-    return -(x + o) if shape.alternating else x + o
+    row, S = SHAPES[spec.shape], spec.sequence()
+    L = row.l * spec.l
+    i, d0, d1 = L * (n - 1) + row.j, 1, 1
+    for f in row.factors:  # d0 = d(n - 1), d1 = d(n)
+        d0, d1 = d0 * _memo(S, i + f), d1 * _memo(S, i + L + f)
+    x = d1 + (d0 if row.alternating else -d0) + _offset(spec, S, n)
+    return -x if row.alternating and n % 2 else x
 
 
 # -- enclosures ----------------------------------------------------------------
 
-def _growth(spec: TailSpec) -> tuple[int, int, int]:
-    """(num, den, steps): num/den bounds S(m+1)/S(m) below, and the shape's
-    factors advance `steps` indices per summand, so (num/den)^steps bounds
-    the summand ratio.  With P = mult and Q = -add, from m = 2 on: for Q = 1
-    the terms increase, so S(m+1) = P S(m) - S(m-1) >= (P - 1) S(m); for
-    Q = -1, S(m+1) = P S(m) + S(m-1) and S(m) <= (P + 1) S(m-1) give
+def _growth(seq: Sequence) -> tuple[int, int]:
+    """(num, den): num/den bounds S(m+1)/S(m) below, so (num/den)^steps bounds
+    the ratio of summands whose factors advance `steps` indices.  With
+    P = mult and Q = -add, from m = 2 on: for Q = 1 the terms increase, so
+    S(m+1) = P S(m) - S(m-1) >= (P - 1) S(m); for Q = -1,
+    S(m+1) = P S(m) + S(m-1) and S(m) <= (P + 1) S(m-1) give
     (P + 1) S(m+1) >= (P^2 + P + 1) S(m).
     """
-    idx, seq = SHAPES[spec.shape].indices, spec.sequence()
-    steps = sum(idx(11, spec.l)) - sum(idx(10, spec.l))
     p, q = seq.mult, -seq.add
-    return (p - 1, 1, steps) if q == 1 else (p * p + p + 1, p + 1, steps)
+    return (p - 1, 1) if q == 1 else (p * p + p + 1, p + 1)
 
 
 def bracket_tail(spec: TailSpec, n: int, terms: int) -> Interval:
@@ -183,17 +179,18 @@ def bracket_tail(spec: TailSpec, n: int, terms: int) -> Interval:
     _require_valid_n(spec, n)
     if terms < 1:
         raise ValueError(f"need terms >= 1, got {terms}")
-    S, shape = partial(_memo, spec.sequence()), SHAPES[spec.shape]
-    dens = [math.prod(map(S, shape.indices(k, spec.l))) for k in range(n, n + terms + 1)]
-    ts = [Fraction(-1 if shape.alternating and k % 2 else 1, d) for k, d in enumerate(dens, n)]
-    if shape.alternating:
+    S, row = partial(_memo, spec.sequence()), SHAPES[spec.shape]
+    L = row.l * spec.l
+    dens = [math.prod(S(L * k + row.j + f) for f in row.factors) for k in range(n, n + terms + 1)]
+    ts = [Fraction(-1 if row.alternating and k % 2 else 1, d) for k, d in enumerate(dens, n)]
+    if row.alternating:
         for prev, cur in zip(ts, ts[1:]):
             if abs(cur) >= abs(prev):
                 raise ArithmeticError(f"summands not strictly decreasing at {spec}, n={n}")
         p_prev = sum(ts[: terms - 1], Fraction(0))
         p_last = p_prev + ts[terms - 1]
         return Interval(min(p_prev, p_last), max(p_prev, p_last))
-    num, den, steps = _growth(spec)
+    (num, den), steps = _growth(spec.sequence()), L * len(row.factors)
     total = sum(ts[:terms], Fraction(0))
     return Interval(total, total + ts[terms] * num ** steps / (num ** steps - den ** steps))
 
@@ -237,24 +234,26 @@ def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tu
     _require_valid_n(spec, n)
     if terms < 1:
         raise ValueError(f"need terms >= 1, got {terms}")
-    S, shape = partial(_memo, spec.sequence()), SHAPES[spec.shape]
-    idxs = [shape.indices(k, spec.l) for k in range(n, n + terms + 1)]
+    seq, row = spec.sequence(), SHAPES[spec.shape]
+    S, L = partial(_memo, seq), row.l * spec.l
+    start, steps = L * n + row.j, L * len(row.factors)  # summands advance `steps` indices
+    idxs = list(zip(*[range(start + f, start + f + L * (terms + 1), L) for f in row.factors]))
     # Every summand is a product of distinct indices, or of one index p times,
     # so summand j is +-nums[j] / D over D = (the product over every index)^p.
     p, every = idxs[0].count(idxs[0][0]), sorted(set().union(*idxs))
     D = math.prod(map(S, every)) ** p
     nums = [math.prod(S(i) for i in every if i not in ix) ** p for ix in idxs]
-    if shape.alternating and any(cur >= prev for prev, cur in zip(nums, nums[1:])):
+    if row.alternating and any(cur >= prev for prev, cur in zip(nums, nums[1:])):
         raise ArithmeticError(f"summands not strictly decreasing at {spec}, n={n}")
-    total = sum(-x if shape.alternating and k % 2 else x for k, x in enumerate(nums[:terms], n))
+    total = sum(-x if row.alternating and k % 2 else x for k, x in enumerate(nums[:terms], n))
     # Rounded, everything is in units of 2^cut / D, with cut such that total keeps `bits` bits.
     bits = None if scale is None else scale * (D.bit_length() - abs(total).bit_length()) + 64
     cut = 0 if bits is None else max(0, abs(total).bit_length() - bits)
     # Remainder magnitude bounds a / b, first the simple bracket's.
-    bn, bd, steps = _growth(spec)
+    bn, bd = _growth(seq)
     rho, rd = bn ** steps, bd ** steps
     N = [_shift(nums[terms], cut, up) for up in (False, True)]  # rounded down and up
-    lo, hi = (0, 1), (_shift(nums[terms - 1], cut, True), 1) if shape.alternating else (rho * N[1], rho - rd)
+    lo, hi = (0, 1), (_shift(nums[terms - 1], cut, True), 1) if row.alternating else (rho * N[1], rho - rd)
     M = min(idxs[terms])
     s0, s1, gn, gd = S(M), S(M + 1), bd * bd, bn * bn
     bq = (gd - gn) * s0 * s1
@@ -264,7 +263,7 @@ def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tu
         # The ratio interval [a/b, c/d]: (bq/ap)^steps rounded down, (bq/am)^steps up.
         (a, b), (c, d) = _power(bq, ap, steps, bits, False), _power(bq, am, steps, bits, True)
         if c < d:  # always so unrounded
-            if shape.alternating:
+            if row.alternating:
                 # R/mag lies in the nested fixed interval of y -> 1 - u*y.
                 w = b * d - a * c
                 (a, b), (c, d) = _round((d - c) * b, w, bits, False), _round((b - a) * d, w, bits, True)
@@ -275,10 +274,10 @@ def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tu
             lo, ref = _round(a * N[0], b, bits, False), _round(c * N[1], d, bits, True)
             # A positive remainder kept the lower of its two upper bounds above; an
             # alternating one's simple bound, nums[terms - 1], is compared here.
-            if not shape.alternating or ref[0] < hi[0] * ref[1]:
+            if not row.alternating or ref[0] < hi[0] * ref[1]:
                 hi = ref
     # An end is (total + sign * a/b) / D, sign that of the first omitted summand.
-    sign = -1 if shape.alternating and (n + terms) % 2 else 1
+    sign = -1 if row.alternating and (n + terms) % 2 else 1
     if bits is None:  # the loop below without its rounding calls, dearer than small ends' arithmetic
         (a, b), (c, d) = (lo, hi)[::sign]
         return total * b + sign * a, D * b, total * d + sign * c, D * d
@@ -339,12 +338,13 @@ def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor
     so the floor and the term count are those of the exact enclosures alone.
     Raises UndecidedIntervalError if the budget is exhausted first."""
     _require_valid_n(spec, n)
-    S, factors = spec.sequence(), SHAPES[spec.shape].indices(n, spec.l)
-    F = sum(_memo(S, i).bit_length() for i in factors)  # the floor's bits, about
-    # Below 256 bits the exact enclosure costs less than a rounded one.  With one
-    # sequence factor per summand, 1/tail lies within about 2^-F of an integer,
-    # which F + 64 bits cannot resolve: such tails start at 2F + 64.
-    scales = (None,) if F < 256 else (2, None) if len(factors) == 1 else (1, 2, None)
+    S, row = spec.sequence(), SHAPES[spec.shape]
+    F = sum(_memo(S, row.l * spec.l * n + row.j + f).bit_length() for f in row.factors)
+    # F is about the floor's bits.  Below 256 bits the exact enclosure costs less
+    # than a rounded one.  With one sequence factor per summand, 1/tail lies
+    # within about 2^-F of an integer, which F + 64 bits cannot resolve: such
+    # tails start at 2F + 64.
+    scales = (None,) if F < 256 else (2, None) if len(row.factors) == 1 else (1, 2, None)
     current, value, terms = None, 0, 2
     while terms <= max_terms:
         for scale in scales:

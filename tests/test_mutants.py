@@ -1,9 +1,9 @@
 """Mutant tests: a wrong closed-form constant must fail the verification plan.
 
-Each mutant changes one constant of a closed form (a tail-floor offset or
-backbone sign, a convolution row's sign, a generating-function coefficient, a
-constant on the right of an identity, or a coefficient of the term kernel's
-doubling step) and runs the unit of `balkit verify-all` that checks it.  A
+Each mutant changes one constant of a closed form (a tail-floor offset, a
+term of the tail offset rule, the tail backbone's sign or index, a convolution
+row's sign, a generating-function coefficient, a constant on the right of an
+identity, or a coefficient of the term kernel's doubling step) and runs the unit of `balkit verify-all` that checks it.  A
 mutant that passed would mean the plan's grid never reaches the closed form
 that the constant belongs to: the grid is then fixed, never the mutant.
 """
@@ -91,8 +91,10 @@ def test_kernel_coefficient_fails_the_plan(monkeypatch, cold_memos, old, new, un
 
 # -- tail floors ----------------------------------------------------------------
 
+# Each offset shifted by one at one parity, for one family on one shape: e at
+# even n, o at odd n, read from a product row's table or derived by the rule.
 MUTANTS = [(shape, family, parity, delta) for shape, row in tailfloors.SHAPES.items()
-           for family in row.offsets for parity in (0, 1) for delta in (-1, 1)]
+           for family in row.families for parity in (0, 1) for delta in (-1, 1)]
 
 
 def mutant_id(shape, family, parity, delta):
@@ -100,55 +102,63 @@ def mutant_id(shape, family, parity, delta):
 
 
 def test_every_offset_has_its_mutants():
-    # 10 shapes of B and C and 4 of G, each offset pair shifted at both parities
+    # 10 shapes of B and C and 4 of G, each offset shifted both ways at both
+    # parities: 72 on the rule's 11 single-index rows, 24 on the 3 product rows.
     assert len(MUTANTS) == (10 * 2 + 4) * 4 == 96
+    assert sum(tailfloors.SHAPES[shape].offsets is None for shape, *_ in MUTANTS) == 72
 
 
 @pytest.mark.parametrize("shape, family, parity, delta", MUTANTS,
                          ids=[mutant_id(*m) for m in MUTANTS])
 def test_shifted_tail_offset_fails_the_plan(monkeypatch, shape, family, parity, delta):
-    # The offset pair is (e, o): e applies at even n and o at odd n.  The row is
-    # replaced, never edited: shapes share their offset dicts.
-    row = tailfloors.SHAPES[shape]
-    pair = list(row.offsets[family])
-    pair[parity] += delta
-    mutant = row._replace(offsets={**row.offsets, family: tuple(pair)})
-    monkeypatch.setitem(tailfloors.SHAPES, shape, mutant)
+    offset = tailfloors._offset
+
+    def mutant(spec, S, n):
+        return offset(spec, S, n) + delta * ((spec.shape, spec.family, n % 2) == (shape, family, parity))
+
+    monkeypatch.setattr(tailfloors, "_offset", mutant)
     spec, n = caught(verify.tailfloors(), UNIT_SIZES["tailfloors"])["params"]
     assert f"family='{family}'" in spec and f"shape='{shape}'" in spec
     assert n % 2 == parity
 
 
-def backbone_mutants() -> dict:
-    """Each SHAPES backbone with the sign between its two terms flipped, or
-    negated where it is one product (gf_sq), recompiled from the source."""
-    tree = ast.parse(inspect.getsource(tailfloors))
-    table = next(node.value for node in tree.body
-                 if isinstance(node, ast.AnnAssign) and node.target.id == "SHAPES")
-    mutants = {}
-    for key, row in zip(table.keys, table.values):
-        backbone = row.args[4]
-        body = backbone.body
-        if isinstance(body, ast.BinOp) and isinstance(body.op, (ast.Add, ast.Sub)):
-            body.op = ast.Sub() if isinstance(body.op, ast.Add) else ast.Add()
-        else:
-            backbone.body = ast.UnaryOp(ast.USub(), body)
-        expr = ast.fix_missing_locations(ast.Expression(backbone))
-        mutants[key.value] = eval(compile(expr, tailfloors.__file__, "eval"), vars(tailfloors))
-    return mutants
+# (function in tailfloors, expression in it, its mutant): the offset rule and
+# the one backbone, on every row at once.  The closed side's index moves alone.
+RULE_MUTANTS = [
+    ("_offset", "delta if kind == 'U' else 1 - delta", "1 - delta if kind == 'U' else delta"),
+    ("_offset", "(row.l * spec.l * (n - 1) + row.j) % 2 if q == -1 else 0", "0"),
+    ("_offset", "kind == 'U'", "True"),
+    ("closed_floor", "row.j", "row.j + 1"),
+    ("closed_floor", "row.j", "row.j - 1"),
+    ("closed_floor", "d0 if row.alternating else -d0", "-d0 if row.alternating else d0"),
+]
 
 
-BACKBONES = backbone_mutants()
+@pytest.mark.parametrize("name, old, new", RULE_MUTANTS,
+                         ids=[f"{name}: {old} -> {new}" for name, old, new in RULE_MUTANTS])
+def test_mutated_tail_rule_fails_the_plan(monkeypatch, name, old, new):
+    monkeypatch.setattr(tailfloors, name, recompiled(getattr(tailfloors, name), old, new))
+    spec, _ = caught(verify.tailfloors(), UNIT_SIZES["tailfloors"])["params"]
+    shape = spec.split("shape='")[1].split("'")[0]
+    # The rule serves the single-index rows alone; the product rows keep a table.
+    assert name == "closed_floor" or tailfloors.SHAPES[shape].offsets is None
+
+
+# Each shape's backbone sign flipped on that shape alone.
+BACKBONE = "d0 if row.alternating else -d0"
+BACKBONES = {shape: recompiled(tailfloors.closed_floor, BACKBONE,
+                               f"({BACKBONE}) * (-1 if spec.shape == {shape!r} else 1)")
+             for shape in tailfloors.SHAPES}
 
 
 def test_every_shape_has_a_backbone_mutant():
-    assert BACKBONES.keys() == tailfloors.SHAPES.keys()
+    assert BACKBONES.keys() == tailfloors.SHAPES.keys() and len(BACKBONES) == 14
+    assert len(RULE_MUTANTS) == 6
 
 
 @pytest.mark.parametrize("shape", BACKBONES)
 def test_flipped_backbone_fails_the_plan(monkeypatch, shape):
-    row = tailfloors.SHAPES[shape]
-    monkeypatch.setitem(tailfloors.SHAPES, shape, row._replace(backbone=BACKBONES[shape]))
+    monkeypatch.setattr(tailfloors, "closed_floor", BACKBONES[shape])
     spec, _ = caught(verify.tailfloors(), UNIT_SIZES["tailfloors"])["params"]
     assert f"shape='{shape}'" in spec
 
