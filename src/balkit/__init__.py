@@ -57,7 +57,6 @@ from .tailfloors import (
     Interval,
     TailSpec,
     UndecidedIntervalError,
-    bracket_tail,
     certify_floor,
     closed_floor,
     refined_bracket,

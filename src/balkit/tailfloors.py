@@ -11,11 +11,10 @@ Every shape is one SHAPES row of data: summand k >= n is +-1 / d(k), d(k)
 the product of S(L k + j + f) over the row's factors f, and every closed
 form is the backbone d(n) -+ d(n-1) plus an offset (closed_floor, _offset).
 
-Two enclosures are provided.  bracket_tail is the textbook one, kept in
-Fractions as the reference: consecutive partial sums for alternating series,
-partial sum plus a geometric majorant for positive ones.  The certification
-path, certify_floor, runs the integer enclosure _enclose directly, and
-refined_bracket reads the same enclosure as Fractions.  It bounds the omitted
+The certification path, certify_floor, runs the integer enclosure _enclose
+directly, and refined_bracket reads the same enclosure as Fractions.  Next to
+the simple bracket (consecutive partial sums for alternating series, partial
+sum plus a geometric majorant for positive ones), it bounds the omitted
 remainder through a two-sided ratio interval: with r(m) = S(m+1)/S(m), the
 cross identity S(m-1)S(m+1) - S(m)^2 = kappa(m) gives
 r(m) - r(m-1) = kappa(m)/(S(m-1)S(m)), so for every m >= M the ratio stays
@@ -55,10 +54,6 @@ from .sequences import Sequence, _lucas_type, _memo, family
 class Interval(NamedTuple):
     lo: Fraction
     hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 class UndecidedIntervalError(ArithmeticError):
@@ -167,34 +162,6 @@ def _growth(seq: Sequence) -> tuple[int, int]:
     return (p - 1, 1) if q == 1 else (p * p + p + 1, p + 1)
 
 
-def bracket_tail(spec: TailSpec, n: int, terms: int) -> Interval:
-    """Exact rational enclosure of the infinite tail from `terms` summands.
-
-    Alternating shapes: the limit lies between consecutive partial sums
-    (strict magnitude decrease is asserted).  Positive shapes: the partial sum
-    bounds below, and the first omitted term times rho/(rho-1) majorizes the
-    remainder for the proven growth bound rho.  This is the Fraction reference
-    that the integer enclosure behind refined_bracket is tested against.
-    """
-    _require_valid_n(spec, n)
-    if terms < 1:
-        raise ValueError(f"need terms >= 1, got {terms}")
-    S, row = partial(_memo, spec.sequence()), SHAPES[spec.shape]
-    L = row.l * spec.l
-    dens = [math.prod(S(L * k + row.j + f) for f in row.factors) for k in range(n, n + terms + 1)]
-    ts = [Fraction(-1 if row.alternating and k % 2 else 1, d) for k, d in enumerate(dens, n)]
-    if row.alternating:
-        for prev, cur in zip(ts, ts[1:]):
-            if abs(cur) >= abs(prev):
-                raise ArithmeticError(f"summands not strictly decreasing at {spec}, n={n}")
-        p_prev = sum(ts[: terms - 1], Fraction(0))
-        p_last = p_prev + ts[terms - 1]
-        return Interval(min(p_prev, p_last), max(p_prev, p_last))
-    (num, den), steps = _growth(spec.sequence()), L * len(row.factors)
-    total = sum(ts[:terms], Fraction(0))
-    return Interval(total, total + ts[terms] * num ** steps / (num ** steps - den ** steps))
-
-
 def _shift(v: int, t: int, up: bool) -> int:
     """v / 2^t rounded down, or up."""
     return -(-v >> t) if up else v >> t
@@ -296,7 +263,7 @@ def _as_interval(ends: tuple[int, int, int, int]) -> Interval:
 
 def refined_bracket(spec: TailSpec, n: int, terms: int) -> Interval:
     """Certification-grade enclosure: partial sum plus two-sided geometric
-    remainder bounds from the ratio interval, intersected with bracket_tail."""
+    remainder bounds from the ratio interval, intersected with the simple bracket's."""
     return _as_interval(_enclose(spec, n, terms))
 
 

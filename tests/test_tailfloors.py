@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from balkit import (
     SHAPES,
+    Interval,
     TailSpec,
     UndecidedIntervalError,
-    bracket_tail,
     certify_floor,
     closed_floor,
     gen_fibonacci,
@@ -111,6 +111,32 @@ def test_spot_floors_against_local_oracle():
     assert local_alternating_floor(terms) == 37
 
 
+def bracket_tail(spec, n, terms):
+    """The textbook enclosure of the infinite tail from `terms` summands, in
+    Fractions: the reference that refined_bracket's integer enclosure is
+    tested against.  Alternating shapes: the limit lies between consecutive
+    partial sums (strict magnitude decrease is asserted).  Positive shapes: the
+    partial sum bounds below, and the first omitted term times rho/(rho-1)
+    majorizes the remainder for the proven growth bound rho."""
+    tailfloors._require_valid_n(spec, n)
+    if terms < 1:
+        raise ValueError(f"need terms >= 1, got {terms}")
+    seq, row = spec.sequence(), SHAPES[spec.shape]
+    L = row.l * spec.l
+    dens = [math.prod(term(seq, L * k + row.j + f) for f in row.factors) for k in range(n, n + terms + 1)]
+    ts = [Fraction(-1 if row.alternating and k % 2 else 1, d) for k, d in enumerate(dens, n)]
+    if row.alternating:
+        for prev, cur in zip(ts, ts[1:]):
+            if abs(cur) >= abs(prev):
+                raise ArithmeticError(f"summands not strictly decreasing at {spec}, n={n}")
+        p_prev = sum(ts[: terms - 1], Fraction(0))
+        p_last = p_prev + ts[terms - 1]
+        return Interval(min(p_prev, p_last), max(p_prev, p_last))
+    (num, den), steps = tailfloors._growth(seq), L * len(row.factors)
+    total = sum(ts[:terms], Fraction(0))
+    return Interval(total, total + ts[terms] * num ** steps / (num ** steps - den ** steps))
+
+
 def test_bracket_alternating_is_consecutive_partials():
     spec = TailSpec("B", "alt")
     bs = values(BALANCING, 0, 10)
@@ -122,7 +148,7 @@ def test_bracket_alternating_is_consecutive_partials():
 
 def test_bracket_plain_width_example():
     got = bracket_tail(TailSpec("B", "plain", l=1), 2, 6)
-    assert got.width < Fraction(1, 10 ** 4)
+    assert got.hi - got.lo < Fraction(1, 10 ** 4)
     assert got.lo > 0
 
 
