@@ -136,24 +136,35 @@ def plan() -> list[tuple]:
             ("convolutions", convolutions()), ("tailfloors", tailfloors())]
 
 
-def failure(check, *args) -> dict | None:
-    """None if check(*args) holds; else the failed equality's label with both
-    sides as decimal strings, or the message of the ArithmeticError it raised."""
+def _outcome(check, args):
+    """None if check(*args) holds; else the failed Verdict, or the ArithmeticError it raised."""
     try:
         verdict = check(*args)
     except ArithmeticError as exc:
-        return {"error": str(exc)}
-    if verdict.holds:
-        return None
-    equality, lhs, rhs = verdict.witness
+        return exc
+    return None if verdict.holds else verdict
+
+
+def _render(outcome) -> dict:
+    """The failed equality's label with both sides as decimal strings, or the error's message."""
+    if isinstance(outcome, ArithmeticError):
+        return {"error": str(outcome)}
+    equality, lhs, rhs = outcome.witness
     return {"equality": equality, "lhs": str(lhs), "rhs": str(rhs)}
+
+
+def failure(check, *args) -> dict | None:
+    """None if check(*args) holds; else its failure, rendered."""
+    outcome = _outcome(check, args)
+    return None if outcome is None else _render(outcome)
 
 
 def run(cases, deadline: float = float("inf"), clock=time.perf_counter) -> tuple:
     """Run cases until they run out or clock() passes the deadline, which is
     read before each case is pulled, so a unit past it never starts.  Returns
     (checked, failed, witness, skipped): witness is the first failure's label,
-    params and lhs/rhs, or the message of the ArithmeticError it raised."""
+    params and lhs/rhs, or the message of the ArithmeticError it raised.  Only
+    that failure is rendered; the others are counted."""
     checked = failed = 0
     witness = None
     cases = iter(cases)
@@ -163,11 +174,12 @@ def run(cases, deadline: float = float("inf"), clock=time.perf_counter) -> tuple
             return checked, failed, witness, False
         label, check, args = case
         checked += 1
-        found = failure(check, *args)
-        if found is None:
+        outcome = _outcome(check, args)
+        if outcome is None:
             continue
         failed += 1
         if witness is None:
+            found = _render(outcome)
             equality = found.pop("equality", "")
             witness = {"label": f"{label} {equality}".rstrip(), **found,
                        "params": [a if isinstance(a, int) else str(a) for a in args]}

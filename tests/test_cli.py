@@ -278,6 +278,23 @@ def test_verify_run_starts_no_case_past_the_deadline():
     assert verify.run(unit(), 0.0, clock=lambda: 1.0) == (0, 0, None, True)
 
 
+def test_verify_run_renders_only_the_first_failure():
+    # Every failure is counted, but only the witness is turned into decimal strings.
+    from balkit import verify
+    from balkit.identities import Verdict
+
+    rendered = []
+
+    class Side(int):
+        def __str__(self):
+            rendered.append(int(self))
+            return super().__str__()
+
+    cases = [("x", lambda i: Verdict(("eq", Side(i), 0)), (i,)) for i in range(1, 4)]
+    assert verify.run(cases) == (3, 3, {"label": "x eq", "lhs": "1", "rhs": "0", "params": [1]}, False)
+    assert rendered == [1]
+
+
 @pytest.mark.parametrize("fault", ["cancellation", "wrong value"])
 def test_verify_all_failure_reports_witness(tmp_path, capsys, monkeypatch, fault):
     from balkit import convolutions
