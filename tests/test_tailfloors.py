@@ -516,3 +516,11 @@ def test_rounded_certificate_decides_as_the_exact_loop(spec, n):
     n = max(n, threshold(spec))
     cert = certify_floor(spec, n)
     assert (cert.value, cert.terms) == exact_certificate(spec, n)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(list(all_specs(lmax=4, amax=7))), st.integers(min_value=1, max_value=400))
+def test_closed_floor_is_the_certified_floor_on_every_row(spec, n):
+    # Past the golden closed floors, which stop at n < 80 and a <= 5.
+    n = max(n, threshold(spec))
+    assert closed_floor(spec, n) == certify_floor(spec, n).value
