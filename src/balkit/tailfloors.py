@@ -206,7 +206,7 @@ def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tu
     start, steps = L * n + row.j, L * len(row.factors)  # summands advance `steps` indices
     idxs = list(zip(*[range(start + f, start + f + L * (terms + 1), L) for f in row.factors]))
     # Every summand is a product of distinct indices, or of one index p times,
-    # so summand j is +-nums[j] / D over D = (the product over every index)^p.
+    # so the k-th summand is +-nums[k] / D over D = (the product over every index)^p.
     p, every = idxs[0].count(idxs[0][0]), sorted(set().union(*idxs))
     D = math.prod(map(S, every)) ** p
     nums = [math.prod(S(i) for i in every if i not in ix) ** p for ix in idxs]

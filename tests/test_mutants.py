@@ -125,9 +125,9 @@ def test_shifted_tail_offset_fails_the_plan(monkeypatch, shape, family, parity, 
 # (function in tailfloors, expression in it, its mutant): the offset rule and
 # the one backbone, on every row at once.  The closed side's index moves alone.
 RULE_MUTANTS = [
-    ("_offset", "delta if kind == 'U' else 1 - delta", "1 - delta if kind == 'U' else delta"),
-    ("_offset", "(row.l * spec.l * (n - 1) + row.j) % 2 if q == -1 else 0", "0"),
-    ("_offset", "kind == 'U'", "True"),
+    ("_offset", "delta if kind == 'U' else 1 - delta", "1 - delta if kind == 'U' else delta"),  # eta
+    ("_offset", "(row.l * spec.l * (n - 1) + row.j) % 2 if q == -1 else 0", "0"),  # delta ignored
+    ("_offset", "kind == 'U'", "True"),  # kind ignored
     ("closed_floor", "row.j", "row.j + 1"),
     ("closed_floor", "row.j", "row.j - 1"),
     ("closed_floor", "d0 if row.alternating else -d0", "-d0 if row.alternating else d0"),
@@ -153,6 +153,7 @@ BACKBONES = {shape: recompiled(tailfloors.closed_floor, BACKBONE,
 
 def test_every_shape_has_a_backbone_mutant():
     assert BACKBONES.keys() == tailfloors.SHAPES.keys() and len(BACKBONES) == 14
+    # and six that break the rule or the backbone on every shape at once
     assert len(RULE_MUTANTS) == 6
 
 
