@@ -54,12 +54,10 @@ from .sequences import (
 from .tailfloors import (
     SHAPES,
     CertifiedFloor,
-    Interval,
     TailSpec,
     UndecidedIntervalError,
     certify_floor,
     closed_floor,
-    refined_bracket,
     threshold,
     verified_floor,
 )

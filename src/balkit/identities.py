@@ -127,7 +127,10 @@ def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, by sieve."""
     if limit < 2:
         return []
-    sieve = bytearray([1]) * (limit + 1)
+    try:  # a limit past the address space fails here, before any memory is touched
+        sieve = bytearray([1]) * (limit + 1)
+    except (OverflowError, MemoryError):
+        raise ValueError(f"cannot allocate a sieve up to {limit}") from None
     sieve[0] = sieve[1] = 0
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:

@@ -11,12 +11,11 @@ Every shape is one SHAPES row of data: summand k >= n is +-1 / d(k), d(k)
 the product of S(L k + j + f) over the row's factors f, and every closed
 form is the backbone d(n) -+ d(n-1) plus an offset (closed_floor, _offset).
 
-The certification path, certify_floor, runs the integer enclosure _enclose
-directly, and refined_bracket reads the same enclosure as Fractions.  Next to
-the simple bracket (consecutive partial sums for alternating series, partial
-sum plus a geometric majorant for positive ones), it bounds the omitted
-remainder through a two-sided ratio interval: with r(m) = S(m+1)/S(m), the
-cross identity S(m-1)S(m+1) - S(m)^2 = kappa(m) gives
+The certification path, certify_floor, runs one enclosure, _enclose.  Next
+to the simple bracket (consecutive partial sums for alternating series,
+partial sum plus a geometric majorant for positive ones), it bounds the
+omitted remainder through a two-sided ratio interval: with r(m) = S(m+1)/S(m),
+the cross identity S(m-1)S(m+1) - S(m)^2 = kappa(m) gives
 r(m) - r(m-1) = kappa(m)/(S(m-1)S(m)), so for every m >= M the ratio stays
 within s(M) = |kappa| / (S(M)S(M+1)) / (1 - g) of r(M), where g bounds
 S(m-1)/S(m+1).  That pins consecutive remainder-term ratios inside an
@@ -25,35 +24,27 @@ width shrinks like the square of the term size - tight enough to separate
 every floor within a handful of terms even when the true reciprocal hugs an
 integer boundary.
 
-The certificate runs on unreduced integer numerator/denominator pairs, each
-bound over a closed product of sequence values and the ratio interval's
-integer ends: certify_floor takes no gcd and builds no Fraction, and
-refined_bracket and CertifiedFloor.interval reduce to Fractions when read.
-It works at the floor's precision: with F the floor's bit length, each round
-first tries the enclosure with its ratio interval, remainder bounds and ends
-rounded outward by shifts to about F + 64 bits, then 2F + 64, and only then
-the exact one (tails of one sequence factor per summand start at 2F + 64,
-floors under 256 bits take the exact one alone).  A rounded enclosure
-contains refined_bracket's at the same terms, so the floor and the term count
-are the exact path's, while the ends carry a few times the floor's bits
-rather than 5 to 11 times.  Every enclosure, fresh or intersected, is checked
-for order through the reciprocal floors that read it.
+The enclosure's ends are unreduced integer numerator/denominator pairs over
+products of sequence values and the ratio interval's integer ends:
+certify_floor takes no gcd and builds no Fraction.  It works at the floor's
+precision F (bits): each round first tries the enclosure with its ratio
+interval, remainder bounds and ends rounded outward by shifts to about F + 64
+bits, then 2F + 64, and last the exact one (tails of one sequence factor per
+summand start at 2F + 64, floors under 256 bits take the exact one alone).
+A rounded enclosure contains the exact one at the same terms, so the floor
+and the term count are the exact path's, while the ends carry a few times the
+floor's bits rather than 5 to 11.  Every enclosure, fresh or intersected, is
+checked for order through the reciprocal floors that read it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
 from .sequences import Sequence, _lucas_type, _memo, family
-
-
-class Interval(NamedTuple):
-    lo: Fraction
-    hi: Fraction
 
 
 class UndecidedIntervalError(ArithmeticError):
@@ -98,8 +89,8 @@ SHAPES: dict[str, _Shape] = {
     "alt_consec_prod": _Shape(("B", "C"), 1, 0, (0, 1), True, {"B": (0, 1), "C": (-2, -1)}),
     "alt_even_sq": _Shape(("B", "C"), 2, 0, (0, 0), True),
     "alt_odd_sq": _Shape(("B", "C"), 2, -1, (0, 0), True),
-    "alt_oddprod": _Shape(("B", "C"), 2, 0, (-1, 1), True, {"B": (1, 2), "C": (-9, -8)}),
-    "alt_evenprod": _Shape(("B", "C"), 2, 1, (-1, 1), True, {"B": (1, 2), "C": (-9, -8)}),
+    "alt_oddprod": _Shape(("B", "C"), 2, 0, (-1, 1), True),
+    "alt_evenprod": _Shape(("B", "C"), 2, 1, (-1, 1), True),
     "gf_plain": _Shape(("G",), 1, 0, (0,), False),
     "gf_sq": _Shape(("G",), 1, 0, (0, 0), False),
     "gf_even_idx": _Shape(("G",), 2, 0, (0,), False),
@@ -122,18 +113,23 @@ def _require_valid_n(spec: TailSpec, n: int) -> None:
 # -- closed forms -------------------------------------------------------------
 
 def _offset(spec: TailSpec, S: Sequence, n: int) -> int:
-    """The closed form's offset at n, S = spec.sequence(): a product row's e at
+    """The closed form's offset at n, S = spec.sequence(): a tabled row's e at
     even n and o at odd n, else the rule.  With (P, Q, kind) S's Lucas type,
     delta is 1 when Q = -1 and L(n-1) + j is odd, else 0, and eta is delta for
     U-type and 1 - delta for V-type families: a positive tail adds eta - 1, an
-    alternating one n % 2 - eta."""
+    alternating one n % 2 - eta.  A symmetric product, factors (-1, 1), takes
+    the rule less Cassini's kappa = S(c-1)S(c+1) - S(c)^2 at c = L(n-1) + j."""
     row = SHAPES[spec.shape]
     if row.offsets is not None:
         return row.offsets[spec.family][n % 2]
     _, q, kind = _lucas_type(S)
     delta = (row.l * spec.l * (n - 1) + row.j) % 2 if q == -1 else 0
     eta = delta if kind == "U" else 1 - delta
-    return n % 2 - eta if row.alternating else eta - 1
+    rule = n % 2 - eta if row.alternating else eta - 1
+    if row.factors != (-1, 1):
+        return rule
+    c = row.l * spec.l * (n - 1) + row.j  # d(n-1) = S(c-1)S(c+1) = S(c)^2 + kappa
+    return rule - (_memo(S, c - 1) * _memo(S, c + 1) - _memo(S, c) ** 2)
 
 
 def closed_floor(spec: TailSpec, n: int) -> int:
@@ -190,17 +186,16 @@ def _power(x: int, y: int, k: int, bits: int | None, up: bool) -> tuple[int, int
 
 
 def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tuple[int, int, int, int]:
-    """refined_bracket as integers (lo_num, lo_den, hi_num, hi_den), positive
-    denominators.  With s0 = S(M), s1 = S(M+1) and g = gn/gd, S(m+1)/S(m) lies in
+    """tail(spec, n) in [lo_num / lo_den, hi_num / hi_den] from `terms` >= 1
+    summands, n checked by the caller: the partial sum plus the ratio
+    interval's remainder bounds, intersected with the simple bracket's.
+    With s0 = S(M), s1 = S(M+1) and g = gn/gd, S(m+1)/S(m) lies in
     [A-, A+] / Bq for m >= M, Bq = (gd - gn) s0 s1, A-+ = (gd - gn) s1^2 -+ kappa gd,
     so consecutive remainder terms have ratio in [Bq^s / A+^s, Bq^s / A-^s].
 
     Given a scale, the ratio interval, the remainder bounds and the ends are
     rounded outward to about scale * F + 64 bits, F the floor's bit length as D
     and the partial sum estimate it: the result then contains the exact one."""
-    _require_valid_n(spec, n)
-    if terms < 1:
-        raise ValueError(f"need terms >= 1, got {terms}")
     seq, row = spec.sequence(), SHAPES[spec.shape]
     S, L = partial(_memo, seq), row.l * spec.l
     start, steps = L * n + row.j, L * len(row.factors)  # summands advance `steps` indices
@@ -257,27 +252,13 @@ def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tu
     return ends
 
 
-def _as_interval(ends: tuple[int, int, int, int]) -> Interval:
-    return Interval(Fraction(ends[0], ends[1]), Fraction(ends[2], ends[3]))
-
-
-def refined_bracket(spec: TailSpec, n: int, terms: int) -> Interval:
-    """Certification-grade enclosure: partial sum plus two-sided geometric
-    remainder bounds from the ratio interval, intersected with the simple bracket's."""
-    return _as_interval(_enclose(spec, n, terms))
-
-
 class CertifiedFloor(NamedTuple):
     """The floor, the summand count that pinned it, and the enclosure that
-    decided it, rounded outward: it contains refined_bracket(spec, n, terms)."""
+    decided it, rounded outward: it contains _enclose(spec, n, terms)."""
 
     value: int
     terms: int
-    ends: tuple[int, int, int, int]  # (lo_num, lo_den, hi_num, hi_den); `interval` reads them
-
-    @property
-    def interval(self) -> Interval:
-        return _as_interval(self.ends)
+    ends: tuple[int, int, int, int]  # (lo_num, lo_den, hi_num, hi_den)
 
 
 def _less(a: int, b: int, c: int, d: int) -> bool:
@@ -298,7 +279,7 @@ def _less(a: int, b: int, c: int, d: int) -> bool:
 
 
 def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor:
-    """Tighten refined_bracket by doubling terms (2, 4, 8, ...) until the
+    """Tighten the enclosure by doubling terms (2, 4, 8, ...) until the
     reciprocal floor is the same at both endpoints; intervals are intersected
     across rounds so refinement never widens.  Each round tries the enclosure
     rounded outward to about F + 64 bits, then 2F + 64, and last the exact one,

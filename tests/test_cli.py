@@ -180,6 +180,15 @@ def test_identity_empty_sweep_exit_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("bound", ["100000000000000000000", "9223372036854775807"])
+def test_identity_sieve_too_large_exit_2(capsys, bound):
+    # Past an index-sized integer (OverflowError, an ArithmeticError) and at
+    # its top (MemoryError), the sieve fails before any memory is touched: a
+    # usage error, never a failed check or a traceback.
+    code, out, err = run(capsys, "identity", "prime-congruence", "--max-prime", bound)
+    assert (code, out, err) == (2, "", f"error: cannot allocate a sieve up to {int(bound) - 1}\n")
+
+
 def test_tailfloor_certify(capsys):
     code, out, _ = run(capsys, "tailfloor", "alt-B", "--n", "2", "--mode", "certify")
     assert code == 0

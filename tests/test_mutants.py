@@ -103,9 +103,9 @@ def mutant_id(shape, family, parity, delta):
 
 def test_every_offset_has_its_mutants():
     # 10 shapes of B and C and 4 of G, each offset shifted both ways at both
-    # parities: 72 on the rule's 11 single-index rows, 24 on the 3 product rows.
+    # parities: 88 on the rule's 13 rows, 8 on alt_consec_prod's table.
     assert len(MUTANTS) == (10 * 2 + 4) * 4 == 96
-    assert sum(tailfloors.SHAPES[shape].offsets is None for shape, *_ in MUTANTS) == 72
+    assert sum(tailfloors.SHAPES[shape].offsets is None for shape, *_ in MUTANTS) == 88
 
 
 @pytest.mark.parametrize("shape, family, parity, delta", MUTANTS,
@@ -124,10 +124,16 @@ def test_shifted_tail_offset_fails_the_plan(monkeypatch, shape, family, parity, 
 
 # (function in tailfloors, expression in it, its mutant): the offset rule and
 # the one backbone, on every row at once.  The closed side's index moves alone.
+KAPPA = "_memo(S, c - 1) * _memo(S, c + 1) - _memo(S, c) ** 2"
 RULE_MUTANTS = [
     ("_offset", "delta if kind == 'U' else 1 - delta", "1 - delta if kind == 'U' else delta"),  # eta
     ("_offset", "(row.l * spec.l * (n - 1) + row.j) % 2 if q == -1 else 0", "0"),  # delta ignored
     ("_offset", "kind == 'U'", "True"),  # kind ignored
+    # Cassini's kappa on the symmetric products: dropped, its sign flipped, and
+    # its product read about c + 1 (moving the whole centre keeps kappa when Q = 1).
+    ("_offset", f"rule - ({KAPPA})", "rule"),
+    ("_offset", f"rule - ({KAPPA})", f"rule + ({KAPPA})"),
+    ("_offset", "_memo(S, c - 1) * _memo(S, c + 1)", "_memo(S, c) * _memo(S, c + 2)"),
     ("closed_floor", "row.j", "row.j + 1"),
     ("closed_floor", "row.j", "row.j - 1"),
     ("closed_floor", "d0 if row.alternating else -d0", "-d0 if row.alternating else d0"),
@@ -140,8 +146,10 @@ def test_mutated_tail_rule_fails_the_plan(monkeypatch, name, old, new):
     monkeypatch.setattr(tailfloors, name, recompiled(getattr(tailfloors, name), old, new))
     spec, _ = caught(verify.tailfloors(), UNIT_SIZES["tailfloors"])["params"]
     shape = spec.split("shape='")[1].split("'")[0]
-    # The rule serves the single-index rows alone; the product rows keep a table.
+    # The rule serves every row but alt_consec_prod, which keeps a table.
     assert name == "closed_floor" or tailfloors.SHAPES[shape].offsets is None
+    if "_memo" in old:  # a kappa mutant shows on a symmetric product
+        assert tailfloors.SHAPES[shape].factors == (-1, 1), shape
 
 
 # Each shape's backbone sign flipped on that shape alone.
@@ -153,8 +161,8 @@ BACKBONES = {shape: recompiled(tailfloors.closed_floor, BACKBONE,
 
 def test_every_shape_has_a_backbone_mutant():
     assert BACKBONES.keys() == tailfloors.SHAPES.keys() and len(BACKBONES) == 14
-    # and six that break the rule or the backbone on every shape at once
-    assert len(RULE_MUTANTS) == 6
+    # and nine that break the rule, its kappa or the backbone on every shape at once
+    assert len(RULE_MUTANTS) == 9
 
 
 @pytest.mark.parametrize("shape", BACKBONES)

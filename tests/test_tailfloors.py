@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import fractions
 import hashlib
 import math
 import pickle
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,11 @@ from hypothesis import strategies as st
 
 from balkit import (
     SHAPES,
-    Interval,
     TailSpec,
     UndecidedIntervalError,
     certify_floor,
     closed_floor,
     gen_fibonacci,
-    refined_bracket,
     term,
     threshold,
     values,
@@ -111,13 +111,28 @@ def test_spot_floors_against_local_oracle():
     assert local_alternating_floor(terms) == 37
 
 
+class Interval(NamedTuple):
+    lo: Fraction
+    hi: Fraction
+
+
+def as_interval(ends):
+    """(lo_num, lo_den, hi_num, hi_den) read as reduced Fractions."""
+    return Interval(Fraction(ends[0], ends[1]), Fraction(ends[2], ends[3]))
+
+
+def refined_bracket(spec, n, terms):
+    """The exact enclosure from `terms` summands, _enclose unrounded, as Fractions."""
+    return as_interval(tailfloors._enclose(spec, n, terms))
+
+
 def bracket_tail(spec, n, terms):
     """The textbook enclosure of the infinite tail from `terms` summands, in
-    Fractions: the reference that refined_bracket's integer enclosure is
-    tested against.  Alternating shapes: the limit lies between consecutive
-    partial sums (strict magnitude decrease is asserted).  Positive shapes: the
-    partial sum bounds below, and the first omitted term times rho/(rho-1)
-    majorizes the remainder for the proven growth bound rho."""
+    Fractions: the reference that the integer enclosure is tested against.
+    Alternating shapes: the limit lies between consecutive partial sums
+    (strict magnitude decrease is asserted).  Positive shapes: the partial sum
+    bounds below, and the first omitted term times rho/(rho-1) majorizes the
+    remainder for the proven growth bound rho."""
     tailfloors._require_valid_n(spec, n)
     if terms < 1:
         raise ValueError(f"need terms >= 1, got {terms}")
@@ -228,7 +243,8 @@ def test_certification_smoke_sweep():
             cert = certify_floor(spec, n)
             assert cert.value == closed_floor(spec, n), (spec, n)
             assert cert.terms <= 16
-            assert cert.interval.lo <= cert.interval.hi
+            lo, hi = as_interval(cert.ends)
+            assert lo <= hi
 
 
 def test_certified_floor_negative_tails():
@@ -361,7 +377,7 @@ def test_disjoint_rounds_raise(monkeypatch):
 # SHA-256 of the newline-joined lines "family shape l a n ...", integers in hex.
 # The digests pin every certified value and term count, with or without the
 # endpoints of the rounded enclosure that decided it, and every exact endpoint
-# of refined_bracket.
+# of the unrounded enclosure.
 
 PLAN_CASES = [case for _, _, case in verify.tailfloors()]
 PLAN_SPECS = list(dict.fromkeys(spec for spec, _ in PLAN_CASES))
@@ -377,7 +393,7 @@ def endpoint_fields(interval):
 
 def certificate_line(spec, n, cert):
     fields = [spec.family, spec.shape, spec.l, spec.a, n, hex(cert.value), cert.terms]
-    return " ".join(map(str, fields + endpoint_fields(cert.interval)))
+    return " ".join(map(str, fields + endpoint_fields(as_interval(cert.ends))))
 
 
 N1000_SPECS = [TailSpec("B", "alt_even_sq"), TailSpec("C", "alt_evenprod"),
@@ -439,26 +455,27 @@ def contains(outer, inner):
 
 
 def test_certificate_takes_no_gcd_and_builds_no_fraction(monkeypatch):
-    def forbidden(*args):
+    def forbidden(*args, **kwargs):
         raise AssertionError("certify_floor reduced a fraction")
 
     certs = []
     with monkeypatch.context() as m:
-        m.setattr(tailfloors, "Fraction", forbidden)
+        m.setattr(fractions.Fraction, "__new__", forbidden)  # any Fraction, built anywhere
         m.setattr(math, "gcd", forbidden)
         for spec in PLAN_SPECS:
             certs.append(certify_floor(spec, threshold(spec) + 5))
     for spec, cert in zip(PLAN_SPECS, certs):
         assert cert.value == closed_floor(spec, threshold(spec) + 5), spec
-        assert contains(cert.interval, refined_bracket(spec, threshold(spec) + 5, cert.terms)), spec
+        assert contains(as_interval(cert.ends), refined_bracket(spec, threshold(spec) + 5, cert.terms)), spec
 
 
 def test_certificate_interval_is_a_value():
+    # The enclosure is the certificate's integer ends, which survive a round trip.
     spec, n = TailSpec("C", "alt_oddprod"), 4
     cert = certify_floor(spec, n)
-    assert isinstance(cert.interval.lo, Fraction)
-    assert contains(cert.interval, refined_bracket(spec, n, cert.terms))
-    assert pickle.loads(pickle.dumps(cert)).interval == cert.interval
+    assert all(type(x) is int for x in cert.ends)
+    assert contains(as_interval(cert.ends), refined_bracket(spec, n, cert.terms))
+    assert pickle.loads(pickle.dumps(cert)) == cert
 
 
 def test_certificates_contain_the_exact_enclosure():
@@ -466,10 +483,10 @@ def test_certificates_contain_the_exact_enclosure():
     for spec, n, max_terms in cases:
         cert = certify_floor(spec, n, max_terms)
         exact = refined_bracket(spec, n, cert.terms)
-        assert contains(cert.interval, exact), (spec, n)
+        assert contains(as_interval(cert.ends), exact), (spec, n)
         # Small floors are certified exactly, so their rounded enclosures are checked here.
         for scale in (1, 2):
-            assert contains(tailfloors._as_interval(tailfloors._enclose(spec, n, cert.terms, scale)),
+            assert contains(as_interval(tailfloors._enclose(spec, n, cert.terms, scale)),
                             exact), (spec, n, scale)
 
 
@@ -484,7 +501,7 @@ def test_certificate_ends_are_sized_to_the_floor(spec, n):
 
 
 def exact_certificate(spec, n, max_terms=64):
-    """(value, terms) of certify_floor's loop run on refined_bracket's Fractions."""
+    """(value, terms) of certify_floor's loop run on the exact enclosure's Fractions."""
     lo = hi = None
     terms = 2
     while terms <= max_terms:
