@@ -34,6 +34,7 @@ from .quadfield import (
     CancellationError,
     GaussQuad,
     QuadRat,
+    binet,
     binet_pair,
     certified_int,
 )

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 
 from .quadfield import GaussQuad, QuadRat, certified_int
-from .sequences import BALANCING, Sequence, _lucas_type, _lucas_u, _memo
+from .sequences import BALANCING, Sequence, _lucas_u, _memo
 
 
 def _validate(k: int, r: int, n: int) -> None:
@@ -54,14 +53,11 @@ def _row(seq: Sequence, k: int, r: int) -> tuple:
     V-type), S(r) and rot carry a factor i.  last is [n + 1, h1(n), h2(n)]
     for the latest n evaluated.
     """
-    p, q, kind = _lucas_type(seq)
-    disc = p * p - 4 * q
-    f = max(f for f in range(1, isqrt(disc) + 1) if disc % (f * f) == 0)
-    d = disc // (f * f)  # the squarefree radicand
-    uk, sr, skr = _lucas_u(p, q, k)[0], _memo(seq, r), _memo(seq, k - r)
-    sign = 1 if kind == "U" else -1
+    q, (f, d) = seq.q, seq.radicand
+    uk, sr, skr = _lucas_u(seq.p, q, k)[0], _memo(seq, r), _memo(seq, k - r)
+    sign = 1 if seq.kind == "U" else -1
     subtract = q ** (k - r) == -sign
-    a = Fraction(uk) if kind == "U" else QuadRat.of(0, Fraction(f * uk * seq.seed0, 2), d)
+    a = Fraction(uk) if sign == 1 else QuadRat.of(0, Fraction(f * uk, seq.s), d)
     rot = Fraction(sign * q ** r * skr)
     if subtract:
         sr, rot = GaussQuad.of(0, sr, d), GaussQuad.of(0, rot, d)

@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .sequences import Sequence, _lucas_type, _lucas_u, term
+from .sequences import Sequence, _lucas_u, term
 
 
 class RationalGF(namedtuple("RationalGF", "numer denom")):
@@ -52,9 +52,9 @@ def gf(seq: Sequence, k: int, r: int) -> RationalGF:
     """
     if not k > r >= 0:
         raise ValueError(f"need k > r >= 0, got k={k}, r={r}")
-    p, q, kind = _lucas_type(seq)
+    p, q = seq.p, seq.q
     u, u1 = _lucas_u(p, q, k)
-    sign = 1 if kind == "U" else -1
+    sign = 1 if seq.kind == "U" else -1
     return RationalGF((term(seq, r), sign * q ** r * term(seq, k - r)),
                       (1, -(2 * u1 - p * u), q ** k))
 

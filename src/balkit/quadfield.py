@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
 
+from .sequences import LUCAS_BALANCING, Sequence
+
 
 class CancellationError(ArithmeticError):
     """An exact value expected to be a rational integer carried a nonzero
@@ -276,15 +278,17 @@ def certified_int(x: int | Fraction | QuadRat | GaussQuad) -> int:
     return n[0]
 
 
+def binet(seq: Sequence, n: int) -> tuple[int, int]:
+    """(U(n), V(n)/s) of seq's Lucas pair at any integer index over Q(sqrt d),
+    D = P^2 - 4Q = f^2 d: U(n) = (alpha^n - beta^n)/(f sqrt d) and V(n)/s =
+    (alpha^n + beta^n)/s for alpha, beta = (P +- f sqrt d)/2, whose powers are
+    computed independently.  Both results are certified integers, not assumed."""
+    f, d = seq.radicand
+    an = (QuadRat.of(seq.p, f, d) / 2) ** n  # alpha^n
+    bn = (QuadRat.of(seq.p, -f, d) / 2) ** n  # beta^n
+    return certified_int((an - bn) / QuadRat.of(0, f, d)), certified_int((an + bn) / seq.s)
+
+
 def binet_pair(n: int) -> tuple[int, int]:
-    """(balancing, Lucas-balancing) pair at any integer index, evaluated from the
-    closed forms over Q(sqrt(2)) with the two unit powers computed independently:
-    B(n) = (u^n - v^n)/(4 sqrt 2), C(n) = (u^n + v^n)/2 for u = 3 + 2 sqrt 2,
-    v = 3 - 2 sqrt 2.  The rationality of both results is certified, not assumed.
-    """
-    u = QuadRat.of(3, 2, 2)
-    v = QuadRat.of(3, -2, 2)
-    un, vn = u ** n, v ** n
-    b = certified_int((un - vn) / QuadRat.of(0, 4, 2))
-    c = certified_int((un + vn) / 2)
-    return b, c
+    """(balancing, Lucas-balancing) pair at any integer index: the pair of C = V(6, 1)/2."""
+    return binet(LUCAS_BALANCING, n)

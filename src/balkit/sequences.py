@@ -1,7 +1,7 @@
 """Integer linear-recurrence kernels: balancing, Lucas-balancing, Fibonacci,
 Lucas, and generalized Fibonacci terms at arbitrary (including negative)
-indices.  All five are Lucas sequences, so one fast-doubling routine gives
-every term and the balancing pair, and one memo serves the modules that
+indices.  Each is a Lucas record (P, Q, kind, s), so one fast-doubling routine
+gives every term and the balancing pair, and one memo serves the modules that
 revisit indices; the linear pass in `values` stays as the independent route.
 
 The doubling step costs two squarings per bit.  Cassini's identity
@@ -14,42 +14,57 @@ modular route takes U(2k) as a product of word-sized residues instead."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
-from typing import NamedTuple
 
 
-class Sequence(NamedTuple):
-    """Two-term recurrence S(n) = mult*S(n-1) + add*S(n-2) with fixed seeds.
+class Sequence(namedtuple("Sequence", "key p q kind s")):
+    """The Lucas family U(P, Q) (kind "U", s = 1) or V(P, Q)/s (kind "V", s = 1,
+    or 2 when P is even), where Q = +-1 and D = P^2 - 4Q is positive and not a
+    square: S(n) = P S(n-1) - Q S(n-2) with S(0), S(1) = 0, 1 or 2/s, P/s.
+    The constructor checks all of this, so every module reads the fields as given.
 
     Negative indices run the recurrence backwards: balancing terms reflect as
     -S(n), their companions as +S(n), Fibonacci and generalized Fibonacci as
     (-1)^(n+1) S(n), Lucas as (-1)^n S(n).
     """
 
-    key: str
-    mult: int
-    add: int
-    seed0: int
-    seed1: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace is checked too
+
+    def __new__(cls, key: str, p: int, q: int, kind: str, s: int) -> Sequence:
+        disc = p * p - 4 * q
+        if not (q in (1, -1) and disc > 0 and isqrt(disc) ** 2 != disc
+                and (kind, s) in (("U", 1), ("V", 1), ("V", 2)) and p % s == 0):
+            raise ValueError(f"a Lucas family needs Q = +-1, P^2 - 4Q > 0 not a square, s = 1 for U "
+                             f"or 1, 2 dividing P for V; got P = {p}, Q = {q}, kind {kind!r}, s = {s}")
+        return super().__new__(cls, key, p, q, kind, s)
+
+    @property
+    def radicand(self) -> tuple[int, int]:
+        """(f, d) with D = P^2 - 4Q = f^2 d and d squarefree."""
+        disc = self.p * self.p - 4 * self.q
+        f = max(f for f in range(1, isqrt(disc) + 1) if disc % (f * f) == 0)
+        return f, disc // (f * f)
 
     def __str__(self) -> str:
         if self.key == "gen-fibonacci":
-            return f"{self.key}({self.mult})"
+            return f"{self.key}({self.p})"
         return self.key
 
 
-BALANCING = Sequence("balancing", 6, -1, 0, 1)
-LUCAS_BALANCING = Sequence("lucas-balancing", 6, -1, 1, 3)
-FIBONACCI = Sequence("fibonacci", 1, 1, 0, 1)
-LUCAS = Sequence("lucas", 1, 1, 2, 1)
+BALANCING = Sequence("balancing", 6, 1, "U", 1)
+LUCAS_BALANCING = Sequence("lucas-balancing", 6, 1, "V", 2)
+FIBONACCI = Sequence("fibonacci", 1, -1, "U", 1)
+LUCAS = Sequence("lucas", 1, -1, "V", 1)
 
 
 def gen_fibonacci(a: int) -> Sequence:
     """Sequence G(n) = a*G(n-1) + G(n-2), G(0)=0, G(1)=1, for integer a >= 1."""
     if a < 1:
         raise ValueError(f"gen-fibonacci parameter must be >= 1, got {a}")
-    return Sequence("gen-fibonacci", a, 1, 0, 1)
+    return Sequence("gen-fibonacci", a, -1, "U", 1)
 
 
 _FAMILIES = {"B": BALANCING, "C": LUCAS_BALANCING, "F": FIBONACCI, "L": LUCAS}
@@ -102,39 +117,21 @@ def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, i
     return (u, u1) if modulus is None else (u % modulus, u1 % modulus)
 
 
-@lru_cache(maxsize=None)
-def _lucas_type(seq: Sequence) -> tuple[int, int, str]:
-    """(P, Q, kind) of a family that is U(P, Q) itself (kind "U", seeds 0, 1)
-    or V(P, Q)/s with s = 2/S(0) (kind "V"), where Q = -add is +-1 and
-    D = P^2 - 4Q is positive and not a square."""
-    p, q = seq.mult, -seq.add
-    if (seq.seed0, seq.seed1) == (0, 1):
-        kind = "U"
-    elif seq.seed0 in (1, 2) and 2 * seq.seed1 == p * seq.seed0:
-        kind = "V"
-    else:
-        raise ValueError(f"{seq} is neither U(P, Q) nor V(P, Q)/s")
-    disc = p * p - 4 * q
-    if q not in (1, -1) or disc <= 0 or isqrt(disc) ** 2 == disc:
-        raise ValueError(f"{seq} needs Q = +-1 and a positive non-square P^2 - 4Q")
-    return p, q, kind
-
-
 def term(seq: Sequence, n: int) -> int:
     """Exact term of `seq` at index n.
 
-    Every family is S(n) = S(0) U(n+1) + (S(1) - mult S(0)) U(n) for the
-    Lucas sequence U = U(mult, -add), whose Q = -add is +-1, so negative
-    indices follow from U(-k) = -Q^k U(k).
+    A family is U(n), or V(n)/s with V(n) = 2 U(n+1) - P U(n), for its Lucas
+    sequence U = U(P, Q), whose Q is +-1, so negative indices follow from
+    U(-k) = -Q^k U(k).
     """
-    p, q = seq.mult, -seq.add
+    p, q = seq.p, seq.q
     if n >= 0:
         u, u1 = _lucas_u(p, q, n)
     else:
         u_prev, u_k = _lucas_u(p, q, -n - 1)  # U(k-1), U(k) for k = -n
         s = q if n % 2 else 1  # Q^k
         u, u1 = -s * u_k, -s * q * u_prev
-    return seq.seed0 * u1 + (seq.seed1 - p * seq.seed0) * u
+    return u if seq.kind == "U" else (2 * u1 - p * u) // seq.s
 
 
 @lru_cache(maxsize=None)
@@ -148,11 +145,12 @@ def values(seq: Sequence, start: int, stop: int) -> list[int]:
     """Terms for start <= n <= stop (inclusive) in one linear recurrence pass."""
     if start > stop:
         raise ValueError(f"empty range: start {start} > stop {stop}")
+    p, q = seq.p, seq.q
     prev, cur = term(seq, start), term(seq, start + 1)
     out = [prev]
     for _ in range(stop - start):
         out.append(cur)
-        prev, cur = cur, seq.mult * cur + seq.add * prev
+        prev, cur = cur, p * cur - q * prev
     return out
 
 

@@ -44,7 +44,7 @@ from collections import namedtuple
 from functools import partial
 from typing import NamedTuple
 
-from .sequences import Sequence, _lucas_type, _memo, family
+from .sequences import Sequence, _memo, family
 
 
 class UndecidedIntervalError(ArithmeticError):
@@ -122,7 +122,7 @@ def _offset(spec: TailSpec, S: Sequence, n: int) -> int:
     row = SHAPES[spec.shape]
     if row.offsets is not None:
         return row.offsets[spec.family][n % 2]
-    _, q, kind = _lucas_type(S)
+    q, kind = S.q, S.kind
     delta = (row.l * spec.l * (n - 1) + row.j) % 2 if q == -1 else 0
     eta = delta if kind == "U" else 1 - delta
     rule = n % 2 - eta if row.alternating else eta - 1
@@ -148,13 +148,13 @@ def closed_floor(spec: TailSpec, n: int) -> int:
 
 def _growth(seq: Sequence) -> tuple[int, int]:
     """(num, den): num/den bounds S(m+1)/S(m) below, so (num/den)^steps bounds
-    the ratio of summands whose factors advance `steps` indices.  With
-    P = mult and Q = -add, from m = 2 on: for Q = 1 the terms increase, so
+    the ratio of summands whose factors advance `steps` indices.  With the
+    family's (P, Q), from m = 2 on: for Q = 1 the terms increase, so
     S(m+1) = P S(m) - S(m-1) >= (P - 1) S(m); for Q = -1,
     S(m+1) = P S(m) + S(m-1) and S(m) <= (P + 1) S(m-1) give
     (P + 1) S(m+1) >= (P^2 + P + 1) S(m).
     """
-    p, q = seq.mult, -seq.add
+    p, q = seq.p, seq.q
     return (p - 1, 1) if q == 1 else (p * p + p + 1, p + 1)
 
 

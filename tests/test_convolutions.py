@@ -27,6 +27,7 @@ from balkit import (
     conv_balancing_r0,
     conv_closed,
     gen_fibonacci,
+    term,
 )
 from balkit.convolutions import _row
 
@@ -36,9 +37,9 @@ FAMILIES = (BALANCING, LUCAS_BALANCING, FIBONACCI, LUCAS)
 def oracle_conv(seq, k, r, n):
     """Independent oracle: iterate the recurrence, then the literal double sum."""
     upto = k * n + r
-    vals = [seq.seed0, seq.seed1]
+    vals = [term(seq, 0), term(seq, 1)]
     while len(vals) <= upto + 1:
-        vals.append(seq.mult * vals[-1] + seq.add * vals[-2])
+        vals.append(seq.p * vals[-1] - seq.q * vals[-2])
     return sum(vals[k * m + r] * vals[k * (n - m) + r] for m in range(n + 1))
 
 
@@ -164,10 +165,10 @@ def test_parameter_errors():
         conv_balancing_r0(0, 3)
     with pytest.raises(ValueError):
         conv_balancing_r0(2, -1)
-    # Neither U(P, Q) nor V(P, Q)/s, and Q = 2: no closed form.
-    for seq in (Sequence("x", 3, 1, 5, 7), Sequence("q2", 3, -2, 0, 1)):
-        with pytest.raises(ValueError):
-            conv_closed(seq, 2, 1, 3)
+    # Neither U(P, Q) nor V(P, Q)/s, and Q = 2: no family, so no closed form.
+    for args in (("x", 3, -1, "W", 1), ("q2", 3, 2, "U", 1)):
+        with pytest.raises(ValueError, match=f"P = 3, Q = {args[2]}"):
+            Sequence(*args)
 
 
 @settings(deadline=None, max_examples=25)

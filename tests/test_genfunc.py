@@ -106,9 +106,9 @@ def test_parameter_errors():
         gf(BALANCING, 1, 1)
     with pytest.raises(ValueError):
         gf(BALANCING, 0, 0)
-    for seq in (Sequence("x", 3, 1, 5, 7), Sequence("q2", 3, -2, 0, 1)):
-        with pytest.raises(ValueError):
-            gf(seq, 2, 0)
+    for args in (("x", 3, -1, "W", 1), ("q2", 3, 2, "U", 1)):  # no family, so no gf
+        with pytest.raises(ValueError, match=f"P = 3, Q = {args[2]}"):
+            Sequence(*args)
     with pytest.raises(ValueError):
         RationalGF((1,), (0, 1))
     with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 Each mutant changes one constant of a closed form (a tail-floor offset, a
 term of the tail offset rule, the tail backbone's sign or index, a convolution
 row's sign, a generating-function coefficient, a constant on the right of an
-identity, or a coefficient of the term kernel's doubling step) and runs the unit of `balkit verify-all` that checks it.  A
+identity, a coefficient of the term kernel's doubling step, or a constant of
+the Binet route) and runs the unit of `balkit verify-all` that checks it.  A
 mutant that passed would mean the plan's grid never reaches the closed form
 that the constant belongs to: the grid is then fixed, never the mutant.
 """
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import pytest
 
-from balkit import convolutions, genfunc, identities, sequences, tailfloors, verify
+from balkit import convolutions, genfunc, identities, quadfield, sequences, tailfloors, verify
 from test_acceptance import PLAN_COUNTS
 
 UNIT_SIZES = dict(PLAN_COUNTS)
@@ -87,6 +88,21 @@ def test_kernel_coefficient_fails_the_plan(monkeypatch, cold_memos, old, new, un
         monkeypatch.setattr(module, "_lucas_u", mutant)
     for unit in units:
         caught(getattr(verify, unit)(), UNIT_SIZES[unit])
+
+
+# (expression in quadfield.binet, its mutant): U over sqrt d instead of f sqrt d,
+# V not divided by s, and beta = alpha.  The kernel unit reads binet through binet_pair.
+BINET_MUTANTS = [
+    ("QuadRat.of(0, f, d)", "QuadRat.of(0, 1, d)"),
+    ("(an + bn) / seq.s", "an + bn"),
+    ("QuadRat.of(seq.p, -f, d)", "QuadRat.of(seq.p, f, d)"),
+]
+
+
+@pytest.mark.parametrize("old, new", BINET_MUTANTS, ids=[f"{old} -> {new}" for old, new in BINET_MUTANTS])
+def test_binet_constant_fails_the_kernel_unit(monkeypatch, old, new):
+    monkeypatch.setattr(quadfield, "binet", recompiled(quadfield.binet, old, new))
+    assert caught(verify.kernel(), UNIT_SIZES["kernel"])["label"].startswith("binet")
 
 
 # -- tail floors ----------------------------------------------------------------

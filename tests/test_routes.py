@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import balkit
-from balkit import convolutions, genfunc, sequences, tailfloors
+from balkit import convolutions, genfunc, quadfield, sequences, tailfloors
 from balkit.sequences import BALANCING, FIBONACCI, LUCAS, LUCAS_BALANCING, gen_fibonacci
 from balkit.tailfloors import TailSpec
 
@@ -25,7 +25,8 @@ SHARED = {
     sequences._memo.__wrapped__.__code__,
     sequences._lucas_u.__code__,
     sequences.gen_fibonacci.__code__,
-    # argument checks and the family a tail spec names
+    # argument checks, the family record's among them, and the family a tail spec names
+    sequences.Sequence.__new__.__code__,
     convolutions._validate.__code__,
     tailfloors._require_valid_n.__code__,
     tailfloors.threshold.__code__,
@@ -78,6 +79,13 @@ def test_convolution_routes_share_only_the_kernel(seq, k, r):
 ], ids=["plain-B-l2", "alt-oddprod-C", "gf-sq-G-a2"])
 def test_tail_floor_routes_share_only_the_kernel(spec):
     _audit(tailfloors.closed_floor, tailfloors.verified_floor, (spec, 6))
+
+
+@pytest.mark.parametrize("seq", [BALANCING, FIBONACCI, gen_fibonacci(2)], ids=["B", "F", "G2"])
+def test_binet_and_linear_routes_share_only_the_kernel(seq):
+    # The linear side reads two seeds from the kernel; Binet never reaches it.
+    _audit(lambda seq: [quadfield.binet(seq, n)[0] for n in range(-20, 41)],
+           lambda seq: sequences.values(seq, -20, 40), (seq,))
 
 
 def test_no_float_literal_in_the_exact_core():

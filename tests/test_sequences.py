@@ -15,6 +15,7 @@ from balkit import (
     LUCAS,
     LUCAS_BALANCING,
     TailSpec,
+    binet,
     binet_pair,
     certify_floor,
     family,
@@ -74,7 +75,7 @@ def test_recurrence_invariant_all_families():
                 gen_fibonacci(1), gen_fibonacci(2), gen_fibonacci(3)):
         vs = values(seq, 0, 5000)
         for n in range(2, 5001):
-            assert vs[n] == seq.mult * vs[n - 1] + seq.add * vs[n - 2]
+            assert vs[n] == seq.p * vs[n - 1] - seq.q * vs[n - 2]
 
 
 @pytest.mark.parametrize("n, pair", [(0, (0, 1)), (4, (204, 577)), (5, (1189, 3363))])
@@ -112,11 +113,11 @@ def test_reflection_balancing_families():
 
 
 def test_reflection_fibonacci_lucas():
-    # Oracle: run the recurrence backwards, S(n-2) = S(n) - mult*S(n-1) for add=1.
+    # Oracle: run the recurrence backwards, S(n-2) = S(n) - P*S(n-1) for Q = -1.
     for seq in (FIBONACCI, LUCAS):
-        back = {0: seq.seed0, 1: seq.seed1}
+        back = {0: term(seq, 0), 1: term(seq, 1)}
         for n in range(0, -60, -1):
-            back[n - 1] = back[n + 1] - seq.mult * back[n]
+            back[n - 1] = back[n + 1] - seq.p * back[n]
         for n in range(-58, 2):
             assert term(seq, n) == back[n]
 
@@ -280,12 +281,12 @@ def test_pair_mod_at_the_first_indices(m):
 @pytest.mark.parametrize("seq", [FIBONACCI, LUCAS, gen_fibonacci(2)], ids=["F", "L", "G2"])
 @pytest.mark.parametrize("m", EDGE_MODULI)
 def test_kernel_mod_m_matches_the_reduced_exact_pair(seq, m):
-    p, q = seq.mult, -seq.add
+    p, q, s0, s1 = seq.p, seq.q, term(seq, 0), term(seq, 1)
     us = iterate(p, -q, 0, 1, 202)
     for n in list(range(40)) + [63, 64, 65, 127, 128, 200]:
         u, u1 = _lucas_u(p, q, n, m)
         assert (u, u1) == (us[n] % m, us[n + 1] % m)
-        assert (seq.seed0 * u1 + (seq.seed1 - p * seq.seed0) * u) % m == term(seq, n) % m
+        assert (s0 * u1 + (s1 - p * s0) * u) % m == term(seq, n) % m
 
 
 @settings(deadline=None)
@@ -299,15 +300,43 @@ def test_kernel_mod_m_matches_reduced_kernel(p, q, n, m):
 
 def test_kernel_without_division_at_p_zero():
     # U(0, Q) = 0, 1, 0, -Q, 0, Q^2, ...: the exact route cannot divide by P = 0.
-    for add in (1, -1):
-        assert [term(Sequence("p0", 0, add, 0, 1), n) for n in range(41)] == iterate(0, add, 0, 1, 41)
+    # No family has P = 0 (D = -4Q is negative or the square 4), so the kernel is called directly.
+    for q in (1, -1):
+        assert [_lucas_u(0, q, n)[0] for n in range(41)] == iterate(0, -q, 0, 1, 41)
 
 
 def test_kernel_rejects_q_other_than_plus_minus_one():
     with pytest.raises(ValueError, match="Q = 2"):
         _lucas_u(3, 2, 5)
     with pytest.raises(ValueError, match="Q = 2"):
-        term(Sequence("q2", 3, -2, 0, 1), 5)
+        Sequence("q2", 3, 2, "U", 1)
+
+
+@pytest.mark.parametrize("p, q, kind, s", [
+    (3, 2, "U", 1), (2, 1, "U", 1), (1, 1, "U", 1), (3, 1, "W", 1), (3, 1, "V", 3), (3, 1, "V", 2),
+], ids=["Q=2", "square D", "negative D", "kind W", "s=3", "s=2, odd P"])
+def test_family_record_is_checked_when_built(p, q, kind, s):
+    with pytest.raises(ValueError, match=f"got P = {p}, Q = {q}, kind '{kind}', s = {s}$"):
+        Sequence("x", p, q, kind, s)
+    with pytest.raises(ValueError, match=f"got P = {p}, Q = {q}, kind '{kind}', s = {s}$"):
+        BALANCING._replace(p=p, q=q, kind=kind, s=s)
+
+
+# (U(P, Q), V(P, Q)/s) record pairs: the named families, then the balancing-like
+# pairs U(A, 1) beside V(3, 1) and V(4, 1)/2.
+NAMED_PAIRS = [(BALANCING, LUCAS_BALANCING), (FIBONACCI, LUCAS)] + [
+    (gen_fibonacci(a), Sequence("v", a, -1, "V", 1)) for a in range(1, 5)]
+BALANCING_LIKE = [(Sequence("u", a, 1, "U", 1), Sequence("v", a, 1, "V", s)) for a, s in ((3, 1), (4, 2))]
+
+
+@pytest.mark.parametrize("pairs", [NAMED_PAIRS, BALANCING_LIKE], ids=["B-C-F-L-G", "balancing-like"])
+def test_binet_matches_the_linear_pass(pairs):
+    # binet(seq, n) is (U(n), V(n)/s) of seq's (P, Q): V/s for the V record, V for the U one.
+    for u_seq, v_seq in pairs:
+        us, vs = values(u_seq, -50, 200), values(v_seq, -50, 200)
+        for n, u, v in zip(range(-50, 201), us, vs):
+            assert binet(v_seq, n) == (u, v)
+            assert binet(u_seq, n) == (u, v_seq.s * v)
 
 
 def test_term_memo_holds_only_requested_indices():
