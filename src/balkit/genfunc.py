@@ -15,6 +15,7 @@ class RationalGF(namedtuple("RationalGF", "numer denom")):
     denom(0) != 0."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace is checked too
 
     def __new__(cls, numer: tuple[int, ...], denom: tuple[int, ...]) -> RationalGF:
         if not denom or denom[0] == 0:

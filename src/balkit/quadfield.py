@@ -9,10 +9,9 @@ Fraction, or a QuadRat beside a GaussQuad) is a prefix of the numerators.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
-from .sequences import LUCAS_BALANCING, Sequence
+from .sequences import LUCAS_BALANCING, Sequence, _squarefree
 
 
 class CancellationError(ArithmeticError):
@@ -20,9 +19,8 @@ class CancellationError(ArithmeticError):
     irrational or imaginary residue (or a fractional part)."""
 
 
-@cache
 def _check_radicand(d: int) -> None:
-    if d < 2 or any(d % (p * p) == 0 for p in range(2, isqrt(d) + 1)):
+    if d < 2 or _squarefree(d)[0] != 1:
         raise ValueError(f"d must be squarefree and >= 2, got {d}")
 
 

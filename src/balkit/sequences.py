@@ -19,6 +19,20 @@ from functools import lru_cache
 from math import isqrt
 
 
+@lru_cache(maxsize=None)
+def _squarefree(n: int) -> tuple[int, int]:
+    """(f, d) with n = f^2 d, d squarefree, n >= 1: once p^3 passes the part of n
+    left, that part has at most two prime factors, so it is a square or squarefree."""
+    f = d = p = 1
+    while (p := p + 1) ** 3 <= n:
+        while n % (p * p) == 0:
+            n, f = n // (p * p), f * p
+        if n % p == 0:
+            n, d = n // p, d * p
+    r = isqrt(n)
+    return (f * r, d) if r * r == n else (f, d * n)
+
+
 class Sequence(namedtuple("Sequence", "key p q kind s")):
     """The Lucas family U(P, Q) (kind "U", s = 1) or V(P, Q)/s (kind "V", s = 1,
     or 2 when P is even), where Q = +-1 and D = P^2 - 4Q is positive and not a
@@ -41,12 +55,7 @@ class Sequence(namedtuple("Sequence", "key p q kind s")):
                              f"or 1, 2 dividing P for V; got P = {p}, Q = {q}, kind {kind!r}, s = {s}")
         return super().__new__(cls, key, p, q, kind, s)
 
-    @property
-    def radicand(self) -> tuple[int, int]:
-        """(f, d) with D = P^2 - 4Q = f^2 d and d squarefree."""
-        disc = self.p * self.p - 4 * self.q
-        f = max(f for f in range(1, isqrt(disc) + 1) if disc % (f * f) == 0)
-        return f, disc // (f * f)
+    radicand = property(lambda seq: _squarefree(seq.p * seq.p - 4 * seq.q))  # (f, d): D = P^2 - 4Q = f^2 d
 
     def __str__(self) -> str:
         if self.key == "gen-fibonacci":

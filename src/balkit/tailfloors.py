@@ -24,17 +24,14 @@ width shrinks like the square of the term size - tight enough to separate
 every floor within a handful of terms even when the true reciprocal hugs an
 integer boundary.
 
-The enclosure's ends are unreduced integer numerator/denominator pairs over
-products of sequence values and the ratio interval's integer ends:
-certify_floor takes no gcd and builds no Fraction.  It works at the floor's
-precision F (bits): each round first tries the enclosure with its ratio
-interval, remainder bounds and ends rounded outward by shifts to about F + 64
-bits, then 2F + 64, and last the exact one (tails of one sequence factor per
-summand start at 2F + 64, floors under 256 bits take the exact one alone).
-A rounded enclosure contains the exact one at the same terms, so the floor
-and the term count are the exact path's, while the ends carry a few times the
-floor's bits rather than 5 to 11.  Every enclosure, fresh or intersected, is
-checked for order through the reciprocal floors that read it.
+The enclosure's ends are unreduced integer numerator/denominator pairs:
+certify_floor takes no gcd and builds no Fraction.  Each round first tries
+the ends rounded outward by shifts to about F + 64 bits, F the floor's bit
+length, then 2F + 64, and last the exact ends, which the same code builds
+unrounded.  A rounded enclosure contains the exact one at the same terms, so
+the floor and the term count are the exact path's, while the ends carry a few
+times the floor's bits rather than 5 to 11.  Every enclosure, fresh or
+intersected, is checked for order by one exact cross product.
 """
 
 from __future__ import annotations
@@ -57,6 +54,7 @@ class TailSpec(namedtuple("TailSpec", "family shape l a")):
     row's stride is multiplied by l: plain's summand k is 1 / S(l k)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace is checked too
 
     def __new__(cls, family: str, shape: str, l: int = 1, a: int = 1) -> TailSpec:
         if shape not in SHAPES:
@@ -240,11 +238,8 @@ def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tu
                 hi = ref
     # An end is (total + sign * a/b) / D, sign that of the first omitted summand.
     sign = -1 if row.alternating and (n + terms) % 2 else 1
-    if bits is None:  # the loop below without its rounding calls, dearer than small ends' arithmetic
-        (a, b), (c, d) = (lo, hi)[::sign]
-        return total * b + sign * a, D * b, total * d + sign * c, D * d
     # D counts only to `bits` bits: it is rounded past them and shifted back.
-    extra = max(0, D.bit_length() - cut - bits - 64)
+    extra = 0 if bits is None else max(0, D.bit_length() - cut - bits - 64)
     ends = ()
     for (a, b), up in zip((lo, hi)[::sign], (False, True)):
         num = _shift(total, cut, up) * b + sign * a
@@ -259,23 +254,6 @@ class CertifiedFloor(NamedTuple):
     value: int
     terms: int
     ends: tuple[int, int, int, int]  # (lo_num, lo_den, hi_num, hi_den)
-
-
-def _less(a: int, b: int, c: int, d: int) -> bool:
-    """a/b < c/d for b, d of one sign and both quotients in [0, 1).  Each is
-    first bracketed on the k leading bits of its denominator, k = 64 and then
-    half the longer one's length: only when neither tells is the product exact."""
-    if b < 0:
-        a, b, c, d = -a, -b, -c, -d
-    for k in (64, max(b.bit_length(), d.bit_length()) // 2 + 64):
-        s, t = max(0, b.bit_length() - k), max(0, d.bit_length() - k)
-        a_k, b_k, c_k, d_k = a >> s, b >> s, c >> t, d >> t  # a/b in (a_k/(b_k+1), (a_k+1)/b_k)
-        p, q = a_k * d_k, c_k * b_k
-        if p + a_k + d_k < q:  # (a_k+1)(d_k+1) <= c_k b_k
-            return True
-        if q + c_k + b_k < p:
-            return False
-    return a * d < c * b
 
 
 def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor:
@@ -313,7 +291,7 @@ def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor
             value += step  # 1/hi = value + r/hi
             r_lo = lo_den - value * lo
             q = r_lo // lo
-            if q < 0 or q == 0 and _less(r_lo, lo, r, hi):
+            if q < 0 or q == 0 and r_lo * hi < r * lo:  # r_lo/lo < r/hi, as lo * hi > 0
                 raise ArithmeticError(f"inconsistent enclosures for {spec}, n={n}")
             if q == 0:
                 return CertifiedFloor(value, terms, ends)

@@ -124,6 +124,15 @@ def test_rational_gf_is_an_immutable_value():
         g.numer = (0,)
 
 
+def test_replaced_gf_is_checked_as_built():
+    g = gf(BALANCING, 2, 1)
+    for denom in ((0, 1), ()):
+        with pytest.raises(ValueError, match="nonzero constant term"):
+            g._replace(denom=denom)
+    h = g._replace(numer=(1,))
+    assert type(h) is RationalGF and h == RationalGF((1,), g.denom)
+
+
 def test_gf_str_is_readable():
     assert str(gf(BALANCING, 1, 0)) == "(t) / (1 - 6*t + t^2)"
     assert str(gf(LUCAS_BALANCING, 1, 0)) == "(1 - 3*t) / (1 - 6*t + t^2)"

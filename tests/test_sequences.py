@@ -6,6 +6,7 @@ import random
 from math import isqrt
 
 import pytest
+import sympy  # an independent oracle, used by the tests only
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,8 @@ from balkit import (
     term,
     values,
 )
-from balkit.sequences import Sequence, _lucas_u
+from balkit import sequences
+from balkit.sequences import Sequence, _lucas_u, _squarefree
 
 
 def iterate(mult, add, s0, s1, count):
@@ -320,6 +322,25 @@ def test_family_record_is_checked_when_built(p, q, kind, s):
         Sequence("x", p, q, kind, s)
     with pytest.raises(ValueError, match=f"got P = {p}, Q = {q}, kind '{kind}', s = {s}$"):
         BALANCING._replace(p=p, q=q, kind=kind, s=s)
+
+
+def test_squarefree_split_matches_factorint():
+    # Past 3000: a square cofactor of one large prime, and two large primes.
+    for n in [*range(2, 3000), 6 * 1_000_003 ** 2, 999_983 * 1_000_003]:
+        f = d = 1
+        for p, e in sympy.factorint(n).items():
+            f, d = f * p ** (e // 2), d * p ** (e % 2)
+        assert _squarefree(n) == (f, d), n
+    assert gen_fibonacci(4).radicand == (2, 5) and LUCAS_BALANCING.radicand == (4, 2)
+
+
+def test_building_a_record_factors_nothing(monkeypatch):
+    # Splitting D = a^2 + 4 at a = 10^12 + 7, where D is prime, takes about 10^8
+    # trial divisions: a record is built without it, and only reading its radicand splits D.
+    monkeypatch.setattr(sequences, "_squarefree", lambda n: pytest.fail(f"split {n}"))
+    assert gen_fibonacci(10 ** 12 + 7).p == 10 ** 12 + 7
+    with pytest.raises(ValueError, match="got P = 0, Q = -1"):
+        Sequence("square D", 0, -1, "U", 1)  # D = 4
 
 
 # (U(P, Q), V(P, Q)/s) record pairs: the named families, then the balancing-like

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balkit import (
@@ -295,6 +295,17 @@ def test_spec_validation_errors():
         bracket_tail(TailSpec("B", "alt"), 2, 0)
 
 
+def test_replaced_spec_is_checked_as_built():
+    with pytest.raises(ValueError, match="plain shape needs l >= 1, got 0"):
+        TailSpec("B", "plain")._replace(l=0)
+    with pytest.raises(ValueError, match="does not belong to family B"):
+        TailSpec("B", "alt")._replace(shape="gf_sq")
+    with pytest.raises(ValueError, match="takes no parameter a"):
+        TailSpec("C", "alt")._replace(a=2)
+    spec = TailSpec("B", "plain")._replace(l=3)
+    assert type(spec) is TailSpec and spec == TailSpec("B", "plain", l=3)
+
+
 def test_spec_and_certificate_are_immutable_values():
     spec = TailSpec("B", "plain")
     assert (spec.l, spec.a) == (1, 1)
@@ -516,15 +527,26 @@ def exact_certificate(spec, n, max_terms=64):
 @settings(deadline=None, max_examples=200)
 @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=3000),
        st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=-3, max_value=3), st.booleans())
-def test_less_compares_fractions(b_bits, d_bits, seed, nudge, negative):
-    # c/d within a few units of a/b at d's precision: near ties reach the exact products.
+@example(1, 1, 0, 0, False).via("equal ends, 0/1 = 0/1")
+@example(2, 2, 0, 0, True).via("equal ends, 1/3 = 1/3")
+def test_order_check_compares_fractions(b_bits, d_bits, seed, nudge, negative):
+    # 1/lo = v + a/b and 1/hi = v + c/d: the ends are ordered iff a/b >= c/d, which
+    # certify_floor decides on its first round.  c/d lies within a few units of a/b
+    # at d's precision, so near ties and ties reach the comparison.
     rnd = random.Random(seed)
     b = rnd.getrandbits(b_bits) | 1 << (b_bits - 1)
     d = rnd.getrandbits(d_bits) | 1 << (d_bits - 1)
     a = rnd.randrange(b)
     c = min(d - 1, max(0, a * d // b + nudge))
-    sign = -1 if negative else 1
-    assert tailfloors._less(sign * a, sign * b, sign * c, sign * d) == (Fraction(a, b) < Fraction(c, d))
+    v, sign = (-5, -1) if negative else (4, 1)
+    ends = (sign * b, sign * (v * b + a), sign * d, sign * (v * d + c))
+    with pytest.MonkeyPatch.context() as m:
+        stub_rounds(m, {2: ends})
+        if Fraction(a, b) < Fraction(c, d):
+            with pytest.raises(ArithmeticError, match="inconsistent enclosures"):
+                certify_floor(TailSpec("B", "alt"), 3)
+        else:
+            assert certify_floor(TailSpec("B", "alt"), 3) == (v, 2, ends)
 
 
 @settings(deadline=None, max_examples=60)
