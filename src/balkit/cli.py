@@ -185,8 +185,8 @@ def cmd_tailfloor(args) -> tuple:
 # -- verify-all ------------------------------------------------------------------
 
 def cmd_verify_all(args) -> tuple:
-    if args.budget is not None and not args.budget >= 0:  # NaN compares false
-        raise ValueError(f"--budget must be at least 0, got {args.budget}")
+    if args.budget is not None and not 0 <= args.budget < float("inf"):  # NaN compares false
+        raise ValueError(f"--budget must be finite and at least 0, got {args.budget}")
     deadline = float("inf") if args.budget is None else time.perf_counter() + args.budget
     items = []
     lines = []

@@ -9,20 +9,20 @@ tightening until the reciprocal floor is pinned down, never guessing.
 
 Every shape is one SHAPES row of data: summand k >= n is +-1 / d(k), d(k)
 the product of S(L k + j + f) over the row's factors f, and every closed
-form is the backbone d(n) -+ d(n-1) plus an offset (closed_floor, _offset).
+form is the backbone d(n) -+ d(n-1) plus an offset derived from the family's
+Lucas record (closed_floor, _offset): no row keeps a table.
 
-The certification path, certify_floor, runs one enclosure, _enclose.  Next
-to the simple bracket (consecutive partial sums for alternating series,
-partial sum plus a geometric majorant for positive ones), it bounds the
-omitted remainder through a two-sided ratio interval: with r(m) = S(m+1)/S(m),
-the cross identity S(m-1)S(m+1) - S(m)^2 = kappa(m) gives
-r(m) - r(m-1) = kappa(m)/(S(m-1)S(m)), so for every m >= M the ratio stays
-within s(M) = |kappa| / (S(M)S(M+1)) / (1 - g) of r(M), where g bounds
-S(m-1)/S(m+1).  That pins consecutive remainder-term ratios inside an
-interval [u_lo, u_hi] and the remainder inside exact geometric bounds whose
-width shrinks like the square of the term size - tight enough to separate
-every floor within a handful of terms even when the true reciprocal hugs an
-integer boundary.
+The certification path, certify_floor, runs one enclosure, _enclose: the
+partial sum plus exact bounds on the omitted remainder, from a two-sided
+ratio interval.  With r(m) = S(m+1)/S(m), the cross identity
+S(m-1)S(m+1) - S(m)^2 = kappa(m) gives r(m) - r(m-1) = kappa(m)/(S(m-1)S(m)),
+so for every m >= M the ratio stays within s(M) = |kappa| / (S(M)S(M+1)) / (1 - g)
+of r(M), where g bounds S(m-1)/S(m+1).  That pins consecutive remainder-term
+ratios inside an interval [u_lo, u_hi] and the remainder inside exact
+geometric bounds whose width shrinks like the square of the term size - tight
+enough to separate every floor within a handful of terms even when the true
+reciprocal hugs an integer boundary.  Should the interval reach 1, _enclose
+raises rather than fall back to a looser bracket.
 
 The enclosure's ends are unreduced integer numerator/denominator pairs:
 certify_floor takes no gcd and builds no Fraction.  Each round first tries
@@ -74,8 +74,8 @@ class TailSpec(namedtuple("TailSpec", "family shape l a")):
 
 
 # A row's summand k is +-1 / prod_f S(L k + j + f) over its factors f, L = l times
-# the spec's l.  Offsets, family -> (e, o), are held only where _offset's rule fails.
-_Shape = namedtuple("_Shape", "families l j factors alternating offsets", defaults=(None,))
+# the spec's l.  A row holds no per-family data: _offset derives every offset.
+_Shape = namedtuple("_Shape", "families l j factors alternating")
 
 
 SHAPES: dict[str, _Shape] = {
@@ -84,7 +84,7 @@ SHAPES: dict[str, _Shape] = {
     "alt_sq": _Shape(("B", "C"), 1, 0, (0, 0), True),
     "alt_even_idx": _Shape(("B", "C"), 2, 0, (0,), True),
     "alt_odd_idx": _Shape(("B", "C"), 2, 1, (0,), True),
-    "alt_consec_prod": _Shape(("B", "C"), 1, 0, (0, 1), True, {"B": (0, 1), "C": (-2, -1)}),
+    "alt_consec_prod": _Shape(("B", "C"), 1, 0, (0, 1), True),
     "alt_even_sq": _Shape(("B", "C"), 2, 0, (0, 0), True),
     "alt_odd_sq": _Shape(("B", "C"), 2, -1, (0, 0), True),
     "alt_oddprod": _Shape(("B", "C"), 2, 0, (-1, 1), True),
@@ -111,23 +111,28 @@ def _require_valid_n(spec: TailSpec, n: int) -> None:
 # -- closed forms -------------------------------------------------------------
 
 def _offset(spec: TailSpec, S: Sequence, n: int) -> int:
-    """The closed form's offset at n, S = spec.sequence(): a tabled row's e at
-    even n and o at odd n, else the rule.  With (P, Q, kind) S's Lucas type,
-    delta is 1 when Q = -1 and L(n-1) + j is odd, else 0, and eta is delta for
-    U-type and 1 - delta for V-type families: a positive tail adds eta - 1, an
-    alternating one n % 2 - eta.  A symmetric product, factors (-1, 1), takes
-    the rule less Cassini's kappa = S(c-1)S(c+1) - S(c)^2 at c = L(n-1) + j."""
+    """The closed form's offset at n, S = spec.sequence() of Lucas type
+    (P, Q, kind).  delta is 1 when Q = -1 and L(n-1) + j is odd, else 0, and
+    eta is delta for U-type and 1 - delta for V-type families: a positive tail
+    adds eta - 1, an alternating one n % 2 - eta.  A product of two indices
+    reads Cassini's kappa = S(c-1)S(c+1) - S(c)^2 at c = L(n-1) + j.  The
+    symmetric ones, factors (-1, 1), take the rule less kappa.  The consecutive
+    one, factors (0, 1), takes n % 2 + floor(-kappa P / (P^2 - 2Q)): when Q = 1,
+    as for B and C, its only families, kappa is constant and (-1)^n / tail
+    less the backbone tends to -kappa P / V(2).  That gave the exact floor for
+    U(P, 1), V(P, 1) and V(P, 1)/2 at every 3 <= P <= 20 and n <= 40."""
     row = SHAPES[spec.shape]
-    if row.offsets is not None:
-        return row.offsets[spec.family][n % 2]
     q, kind = S.q, S.kind
     delta = (row.l * spec.l * (n - 1) + row.j) % 2 if q == -1 else 0
     eta = delta if kind == "U" else 1 - delta
     rule = n % 2 - eta if row.alternating else eta - 1
-    if row.factors != (-1, 1):
+    if len(set(row.factors)) == 1:  # one index, or its square
         return rule
-    c = row.l * spec.l * (n - 1) + row.j  # d(n-1) = S(c-1)S(c+1) = S(c)^2 + kappa
-    return rule - (_memo(S, c - 1) * _memo(S, c + 1) - _memo(S, c) ** 2)
+    c = row.l * spec.l * (n - 1) + row.j
+    kappa = _memo(S, c - 1) * _memo(S, c + 1) - _memo(S, c) ** 2
+    if row.factors == (-1, 1):  # d(n-1) = S(c-1)S(c+1) = S(c)^2 + kappa
+        return rule - kappa
+    return n % 2 + (-kappa * S.p) // (S.p ** 2 - 2 * q)
 
 
 def closed_floor(spec: TailSpec, n: int) -> int:
@@ -186,10 +191,11 @@ def _power(x: int, y: int, k: int, bits: int | None, up: bool) -> tuple[int, int
 def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tuple[int, int, int, int]:
     """tail(spec, n) in [lo_num / lo_den, hi_num / hi_den] from `terms` >= 1
     summands, n checked by the caller: the partial sum plus the ratio
-    interval's remainder bounds, intersected with the simple bracket's.
-    With s0 = S(M), s1 = S(M+1) and g = gn/gd, S(m+1)/S(m) lies in
-    [A-, A+] / Bq for m >= M, Bq = (gd - gn) s0 s1, A-+ = (gd - gn) s1^2 -+ kappa gd,
-    so consecutive remainder terms have ratio in [Bq^s / A+^s, Bq^s / A-^s].
+    interval's remainder bounds.  With s0 = S(M), s1 = S(M+1) and g = gn/gd,
+    S(m+1)/S(m) lies in [A-, A+] / Bq for m >= M, Bq = (gd - gn) s0 s1,
+    A-+ = (gd - gn) s1^2 -+ kappa gd, so consecutive remainder terms have ratio
+    in [Bq^s / A+^s, Bq^s / A-^s].  Raises ArithmeticError if A- <= Bq, when
+    that interval reaches 1 and bounds no remainder.
 
     Given a scale, the ratio interval, the remainder bounds and the ends are
     rounded outward to about scale * F + 64 bits, F the floor's bit length as D
@@ -203,39 +209,31 @@ def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tu
     p, every = idxs[0].count(idxs[0][0]), sorted(set().union(*idxs))
     D = math.prod(map(S, every)) ** p
     nums = [math.prod(S(i) for i in every if i not in ix) ** p for ix in idxs]
-    if row.alternating and any(cur >= prev for prev, cur in zip(nums, nums[1:])):
-        raise ArithmeticError(f"summands not strictly decreasing at {spec}, n={n}")
     total = sum(-x if row.alternating and k % 2 else x for k, x in enumerate(nums[:terms], n))
     # Rounded, everything is in units of 2^cut / D, with cut such that total keeps `bits` bits.
     bits = None if scale is None else scale * (D.bit_length() - abs(total).bit_length()) + 64
     cut = 0 if bits is None else max(0, abs(total).bit_length() - bits)
-    # Remainder magnitude bounds a / b, first the simple bracket's.
-    bn, bd = _growth(seq)
-    rho, rd = bn ** steps, bd ** steps
     N = [_shift(nums[terms], cut, up) for up in (False, True)]  # rounded down and up
-    lo, hi = (0, 1), (_shift(nums[terms - 1], cut, True), 1) if row.alternating else (rho * N[1], rho - rd)
+    bn, bd = _growth(seq)
     M = min(idxs[terms])
     s0, s1, gn, gd = S(M), S(M + 1), bd * bd, bn * bn
     bq = (gd - gn) * s0 * s1
     kappa = abs(S(0) * S(2) - S(1) ** 2)  # = |S(m-1)S(m+1) - S(m)^2| for every m, as Q = +-1
     am, ap = ((gd - gn) * s1 * s1 + e * kappa * gd for e in (-1, 1))
-    if am > bq:  # else the ratio interval reaches 1: keep the simple bracket
-        # The ratio interval [a/b, c/d]: (bq/ap)^steps rounded down, (bq/am)^steps up.
-        (a, b), (c, d) = _power(bq, ap, steps, bits, False), _power(bq, am, steps, bits, True)
-        if c < d:  # always so unrounded
-            if row.alternating:
-                # R/mag lies in the nested fixed interval of y -> 1 - u*y.
-                w = b * d - a * c
-                (a, b), (c, d) = _round((d - c) * b, w, bits, False), _round((b - a) * d, w, bits, True)
-            else:  # R/mag lies in [1/(1 - a/b), 1/(1 - c/d)], and at most rho/(rho - rd)
-                (a, b), (c, d) = (b, b - a), (d, d - c)
-                if rho * d <= c * (rho - rd):
-                    c, d = rho, rho - rd
-            lo, ref = _round(a * N[0], b, bits, False), _round(c * N[1], d, bits, True)
-            # A positive remainder kept the lower of its two upper bounds above; an
-            # alternating one's simple bound, nums[terms - 1], is compared here.
-            if not row.alternating or ref[0] < hi[0] * ref[1]:
-                hi = ref
+    if am <= bq:
+        raise ArithmeticError(f"ratio interval reaches 1 at {spec}, n={n}")
+    # The ratio interval [a/b, c/d]: (bq/ap)^steps rounded down, (bq/am)^steps up.
+    (a, b), (c, d) = _power(bq, ap, steps, bits, False), _power(bq, am, steps, bits, True)
+    if row.alternating:
+        # R/mag lies in the nested fixed interval of y -> 1 - u*y.
+        w = b * d - a * c
+        (a, b), (c, d) = _round((d - c) * b, w, bits, False), _round((b - a) * d, w, bits, True)
+    else:  # R/mag lies in [1/(1 - a/b), 1/(1 - c/d)], and at most rho/(rho - rd)
+        rho, rd = bn ** steps, bd ** steps
+        (a, b), (c, d) = (b, b - a), (d, d - c)
+        if rho * d <= c * (rho - rd):
+            c, d = rho, rho - rd
+    lo, hi = _round(a * N[0], b, bits, False), _round(c * N[1], d, bits, True)
     # An end is (total + sign * a/b) / D, sign that of the first omitted summand.
     sign = -1 if row.alternating and (n + terms) % 2 else 1
     # D counts only to `bits` bits: it is rounded past them and shifted back.

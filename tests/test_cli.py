@@ -249,7 +249,7 @@ def test_verify_all_small_budget_skips(capsys):
     assert any(it.get("skipped") for it in report["items"])
 
 
-@pytest.mark.parametrize("budget", ["-0.5", "nan", "-inf"])
+@pytest.mark.parametrize("budget", ["-0.5", "nan", "-inf", "inf", "1e400"])
 def test_verify_all_budget_below_zero_exit_2(tmp_path, capsys, budget):
     path = tmp_path / "report.json"
     code, out, err = run(capsys, "verify-all", f"--budget={budget}", "--format", "json",
@@ -592,6 +592,21 @@ def test_tailfloor_arithmetic_failure_exit_1(key, tmp_path, capsys, monkeypatch)
     code, out, err = run(capsys, "tailfloor", "alt-B", "--n", "3")
     assert code == 1 and err == ""
     assert f"{key}: {message}" in out.splitlines()
+
+
+def test_tailfloor_ratio_interval_reaching_1_exit_1(capsys, monkeypatch):
+    # A growth bound of 1 leaves no ratio interval below 1: the certificate's
+    # guard is a reported error item, with the closed floor, and no traceback.
+    from balkit import tailfloors
+
+    monkeypatch.setattr(tailfloors, "_growth", lambda seq: (1, 1))
+    code, out, err = run(capsys, "tailfloor", "plain-B", "--n", "5", "--format", "json")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["summary"] == {"checked": 1, "passed": 0, "failed": 1}
+    [item] = report["items"]
+    assert item["error"].startswith("ratio interval reaches 1") and "verified" not in item
+    assert item["closed"] == str(tailfloors.closed_floor(tailfloors.TailSpec("B", "plain"), 5))
 
 
 # The text of every conv and tailfloor mode, up to the wall time, with each

@@ -108,7 +108,7 @@ def test_binet_constant_fails_the_kernel_unit(monkeypatch, old, new):
 # -- tail floors ----------------------------------------------------------------
 
 # Each offset shifted by one at one parity, for one family on one shape: e at
-# even n, o at odd n, read from a product row's table or derived by the rule.
+# even n, o at odd n, every one derived from the family's Lucas record.
 MUTANTS = [(shape, family, parity, delta) for shape, row in tailfloors.SHAPES.items()
            for family in row.families for parity in (0, 1) for delta in (-1, 1)]
 
@@ -119,9 +119,9 @@ def mutant_id(shape, family, parity, delta):
 
 def test_every_offset_has_its_mutants():
     # 10 shapes of B and C and 4 of G, each offset shifted both ways at both
-    # parities: 88 on the rule's 13 rows, 8 on alt_consec_prod's table.
+    # parities, and no row holds a table of them.
     assert len(MUTANTS) == (10 * 2 + 4) * 4 == 96
-    assert sum(tailfloors.SHAPES[shape].offsets is None for shape, *_ in MUTANTS) == 88
+    assert tailfloors._Shape._fields == ("families", "l", "j", "factors", "alternating")
 
 
 @pytest.mark.parametrize("shape, family, parity, delta", MUTANTS,
@@ -140,15 +140,15 @@ def test_shifted_tail_offset_fails_the_plan(monkeypatch, shape, family, parity, 
 
 # (function in tailfloors, expression in it, its mutant): the offset rule and
 # the one backbone, on every row at once.  The closed side's index moves alone.
-KAPPA = "_memo(S, c - 1) * _memo(S, c + 1) - _memo(S, c) ** 2"
 RULE_MUTANTS = [
     ("_offset", "delta if kind == 'U' else 1 - delta", "1 - delta if kind == 'U' else delta"),  # eta
     ("_offset", "(row.l * spec.l * (n - 1) + row.j) % 2 if q == -1 else 0", "0"),  # delta ignored
     ("_offset", "kind == 'U'", "True"),  # kind ignored
-    # Cassini's kappa on the symmetric products: dropped, its sign flipped, and
-    # its product read about c + 1 (moving the whole centre keeps kappa when Q = 1).
-    ("_offset", f"rule - ({KAPPA})", "rule"),
-    ("_offset", f"rule - ({KAPPA})", f"rule + ({KAPPA})"),
+    # Cassini's kappa on the symmetric products: dropped and its sign flipped.
+    # On both product rows: its product read about c + 1 (moving the whole
+    # centre keeps kappa when Q = 1).
+    ("_offset", "rule - kappa", "rule"),
+    ("_offset", "rule - kappa", "rule + kappa"),
     ("_offset", "_memo(S, c - 1) * _memo(S, c + 1)", "_memo(S, c) * _memo(S, c + 2)"),
     ("closed_floor", "row.j", "row.j + 1"),
     ("closed_floor", "row.j", "row.j - 1"),
@@ -161,11 +161,26 @@ RULE_MUTANTS = [
 def test_mutated_tail_rule_fails_the_plan(monkeypatch, name, old, new):
     monkeypatch.setattr(tailfloors, name, recompiled(getattr(tailfloors, name), old, new))
     spec, _ = caught(verify.tailfloors(), UNIT_SIZES["tailfloors"])["params"]
-    shape = spec.split("shape='")[1].split("'")[0]
-    # The rule serves every row but alt_consec_prod, which keeps a table.
-    assert name == "closed_floor" or tailfloors.SHAPES[shape].offsets is None
-    if "_memo" in old:  # a kappa mutant shows on a symmetric product
-        assert tailfloors.SHAPES[shape].factors == (-1, 1), shape
+    factors = tailfloors.SHAPES[spec.split("shape='")[1].split("'")[0]].factors
+    if "kappa" in old:  # the symmetric products alone take the rule less kappa
+        assert factors == (-1, 1), spec
+    if "_memo" in old:  # kappa shows on a product of two indices
+        assert len(set(factors)) == 2, spec
+
+
+# The consecutive product's n % 2 + floor(-kappa P / V(2)), with kappa -1 for B
+# and 8 for C and P^2 - 2 = 34: kappa's sign flipped moves both families,
+# first B; kappa dropped moves C alone, as floor(6/34) = 0.  V(2) is pinned
+# in test_tailfloors instead, since P^2 in its place keeps every plan floor.
+CONSECUTIVE_MUTANTS = [("-kappa * S.p", "kappa * S.p", "B"), ("-kappa * S.p", "0", "C")]
+
+
+@pytest.mark.parametrize("old, new, family", CONSECUTIVE_MUTANTS,
+                         ids=[f"{old} -> {new}" for old, new, _ in CONSECUTIVE_MUTANTS])
+def test_mutated_consecutive_term_fails_the_plan(monkeypatch, old, new, family):
+    monkeypatch.setattr(tailfloors, "_offset", recompiled(tailfloors._offset, old, new))
+    spec, _ = caught(verify.tailfloors(), UNIT_SIZES["tailfloors"])["params"]
+    assert f"family='{family}'" in spec and "shape='alt_consec_prod'" in spec
 
 
 # Each shape's backbone sign flipped on that shape alone.

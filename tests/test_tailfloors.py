@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from balkit import (
     SHAPES,
+    Sequence,
     TailSpec,
     UndecidedIntervalError,
     certify_floor,
@@ -101,6 +102,22 @@ def test_corrected_companion_floors_against_local_oracle():
     terms = [Fraction((-1) ** k, cs[k] * cs[k + 1]) for k in range(2, 30)]
     assert local_alternating_floor(terms) == 1732
     assert closed_floor(TailSpec("C", "alt_consec_prod"), 2) == 1732
+
+
+def test_consecutive_product_offset_past_b_and_c():
+    # The consecutive product's offset reads only the record's P, Q and kappa, so
+    # every Q = 1 record takes it.  The plan reaches B and C alone, where P^2 in
+    # place of V(2) = P^2 - 2 keeps every floor: these records pin V(2) and kappa.
+    spec = TailSpec("B", "alt_consec_prod")
+    records = [Sequence("u", p, 1, "U", 1) for p in range(3, 13)]
+    records += [Sequence("v", p, 1, "V", s) for p in range(3, 13) for s in (1, 2) if p % s == 0]
+    assert len(records) == 25
+    for seq in records:
+        for n in range(1, 31):
+            x = term(seq, n) * term(seq, n + 1) + term(seq, n - 1) * term(seq, n)
+            x += tailfloors._offset(spec, seq, n)
+            terms = [Fraction((-1) ** k, term(seq, k) * term(seq, k + 1)) for k in range(n, 2 * n + 8)]
+            assert (-x if n % 2 else x) == local_alternating_floor(terms), (seq, n)
 
 
 def test_spot_floors_against_local_oracle():
@@ -325,6 +342,17 @@ def test_spec_and_certificate_are_immutable_values():
 def test_undecided_budget():
     with pytest.raises(UndecidedIntervalError):
         verified_floor(TailSpec("B", "alt"), 2, max_terms=1)
+
+
+@pytest.mark.parametrize("spec", [TailSpec("B", "plain"), TailSpec("C", "alt_consec_prod")],
+                         ids=["plain-B", "alt-consec-prod-C"])
+def test_ratio_interval_reaching_1_raises(monkeypatch, spec):
+    # A growth bound of 1 gives g = 1, so the ratio interval reaches 1 and bounds
+    # no remainder: the certificate raises, with no looser bracket to fall back on.
+    monkeypatch.setattr(tailfloors, "_growth", lambda seq: (1, 1))
+    with pytest.raises(ArithmeticError, match="ratio interval reaches 1") as info:
+        certify_floor(spec, 5)
+    assert not isinstance(info.value, UndecidedIntervalError)
 
 
 def stub_rounds(monkeypatch, rounds):
