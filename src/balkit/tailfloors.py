@@ -41,7 +41,7 @@ from collections import namedtuple
 from functools import partial
 from typing import NamedTuple
 
-from .sequences import Sequence, _memo, family
+from .sequences import Sequence, _lucas_u, _memo, family
 
 
 class UndecidedIntervalError(ArithmeticError):
@@ -112,27 +112,26 @@ def _require_valid_n(spec: TailSpec, n: int) -> None:
 
 def _offset(spec: TailSpec, S: Sequence, n: int) -> int:
     """The closed form's offset at n, S = spec.sequence() of Lucas type
-    (P, Q, kind).  delta is 1 when Q = -1 and L(n-1) + j is odd, else 0, and
-    eta is delta for U-type and 1 - delta for V-type families: a positive tail
-    adds eta - 1, an alternating one n % 2 - eta.  A product of two indices
-    reads Cassini's kappa = S(c-1)S(c+1) - S(c)^2 at c = L(n-1) + j.  The
-    symmetric ones, factors (-1, 1), take the rule less kappa.  The consecutive
-    one, factors (0, 1), takes n % 2 + floor(-kappa P / (P^2 - 2Q)): when Q = 1,
-    as for B and C, its only families, kappa is constant and (-1)^n / tail
-    less the backbone tends to -kappa P / V(2).  That gave the exact floor for
-    U(P, 1), V(P, 1) and V(P, 1)/2 at every 3 <= P <= 20 and n <= 40."""
-    row = SHAPES[spec.shape]
-    q, kind = S.q, S.kind
-    delta = (row.l * spec.l * (n - 1) + row.j) % 2 if q == -1 else 0
-    eta = delta if kind == "U" else 1 - delta
-    rule = n % 2 - eta if row.alternating else eta - 1
-    if len(set(row.factors)) == 1:  # one index, or its square
-        return rule
-    c = row.l * spec.l * (n - 1) + row.j
-    kappa = _memo(S, c - 1) * _memo(S, c + 1) - _memo(S, c) ** 2
-    if row.factors == (-1, 1):  # d(n-1) = S(c-1)S(c+1) = S(c)^2 + kappa
-        return rule - kappa
-    return n % 2 + (-kappa * S.p) // (S.p ** 2 - 2 * q)
+    (P, Q, kind).  One index, or Q = -1 (gf_sq), takes the rule: delta is 1
+    when Q = -1 and L(n-1) + j is odd, else 0, eta is delta for U-type and
+    1 - delta for V-type families, and a positive tail adds eta - 1, an
+    alternating one n % 2 - eta.  The six two-factor rows with Q = 1, all
+    alternating, take one Binet limit: with gap t between the factors,
+    kappa = S(0)S(2) - S(1)^2 and U, V of (P, 1), (-1)^n / tail less the
+    backbone tends to -kappa V(t) U(L)^2 / V(2L), and the offset is n % 2
+    plus its floor.  For B and C the quotients are 1/17 and -8/17 (alt_sq),
+    3/17 and -24/17 (alt_consec_prod), 36/577 and -288/577 (the even and odd
+    squares), 612/577 and -4896/577 (the symmetric products): no integer."""
+    row, q, kind = SHAPES[spec.shape], S.q, S.kind
+    if len(row.factors) == 1 or q == -1:
+        delta = (row.l * spec.l * (n - 1) + row.j) % 2 if q == -1 else 0
+        eta = delta if kind == "U" else 1 - delta
+        return n % 2 - eta if row.alternating else eta - 1
+    kappa = _memo(S, 0) * _memo(S, 2) - _memo(S, 1) ** 2
+    L, t = row.l * spec.l, row.factors[1] - row.factors[0]
+    # (U(m), U(m+1)) of (P, 1) at m = L, t, 2L, and V(m) = 2 U(m+1) - P U(m)
+    (u, _), (a, b), (c, d) = (_lucas_u(S.p, 1, m) for m in (L, t, 2 * L))
+    return n % 2 + (-kappa * (2 * b - S.p * a) * u ** 2) // (2 * d - S.p * c)
 
 
 def closed_floor(spec: TailSpec, n: int) -> int:

@@ -138,18 +138,26 @@ def test_shifted_tail_offset_fails_the_plan(monkeypatch, shape, family, parity, 
     assert n % 2 == parity
 
 
-# (function in tailfloors, expression in it, its mutant): the offset rule and
-# the one backbone, on every row at once.  The closed side's index moves alone.
+# The two-factor rows' limit -kappa V(t) U(L)^2 / V(2L), with V(m) read from
+# (U(m), U(m+1)) at m = L, t, 2L: kappa's sign flipped and kappa dropped,
+# V(t) read at t + 1, U(L) not squared, and V(2L) read at L.  Each fails 100
+# to 300 of the plan's 895 tail cases, all on two-factor rows of B and C.
+LIMIT_MUTANTS = [
+    ("_offset", "-kappa", "kappa"),
+    ("_offset", "_memo(S, 0) * _memo(S, 2) - _memo(S, 1) ** 2", "0"),
+    ("_offset", "(L, t, 2 * L)", "(L, t + 1, 2 * L)"),
+    ("_offset", "u ** 2", "u"),
+    ("_offset", "(L, t, 2 * L)", "(L, t, L)"),
+]
+
+# (function in tailfloors, expression in it, its mutant): the offset rule, its
+# limit and the one backbone, on every row at once.  The closed side's index
+# moves alone.
 RULE_MUTANTS = [
     ("_offset", "delta if kind == 'U' else 1 - delta", "1 - delta if kind == 'U' else delta"),  # eta
     ("_offset", "(row.l * spec.l * (n - 1) + row.j) % 2 if q == -1 else 0", "0"),  # delta ignored
     ("_offset", "kind == 'U'", "True"),  # kind ignored
-    # Cassini's kappa on the symmetric products: dropped and its sign flipped.
-    # On both product rows: its product read about c + 1 (moving the whole
-    # centre keeps kappa when Q = 1).
-    ("_offset", "rule - kappa", "rule"),
-    ("_offset", "rule - kappa", "rule + kappa"),
-    ("_offset", "_memo(S, c - 1) * _memo(S, c + 1)", "_memo(S, c) * _memo(S, c + 2)"),
+    *LIMIT_MUTANTS,
     ("closed_floor", "row.j", "row.j + 1"),
     ("closed_floor", "row.j", "row.j - 1"),
     ("closed_floor", "d0 if row.alternating else -d0", "-d0 if row.alternating else d0"),
@@ -161,26 +169,9 @@ RULE_MUTANTS = [
 def test_mutated_tail_rule_fails_the_plan(monkeypatch, name, old, new):
     monkeypatch.setattr(tailfloors, name, recompiled(getattr(tailfloors, name), old, new))
     spec, _ = caught(verify.tailfloors(), UNIT_SIZES["tailfloors"])["params"]
-    factors = tailfloors.SHAPES[spec.split("shape='")[1].split("'")[0]].factors
-    if "kappa" in old:  # the symmetric products alone take the rule less kappa
-        assert factors == (-1, 1), spec
-    if "_memo" in old:  # kappa shows on a product of two indices
-        assert len(set(factors)) == 2, spec
-
-
-# The consecutive product's n % 2 + floor(-kappa P / V(2)), with kappa -1 for B
-# and 8 for C and P^2 - 2 = 34: kappa's sign flipped moves both families,
-# first B; kappa dropped moves C alone, as floor(6/34) = 0.  V(2) is pinned
-# in test_tailfloors instead, since P^2 in its place keeps every plan floor.
-CONSECUTIVE_MUTANTS = [("-kappa * S.p", "kappa * S.p", "B"), ("-kappa * S.p", "0", "C")]
-
-
-@pytest.mark.parametrize("old, new, family", CONSECUTIVE_MUTANTS,
-                         ids=[f"{old} -> {new}" for old, new, _ in CONSECUTIVE_MUTANTS])
-def test_mutated_consecutive_term_fails_the_plan(monkeypatch, old, new, family):
-    monkeypatch.setattr(tailfloors, "_offset", recompiled(tailfloors._offset, old, new))
-    spec, _ = caught(verify.tailfloors(), UNIT_SIZES["tailfloors"])["params"]
-    assert f"family='{family}'" in spec and "shape='alt_consec_prod'" in spec
+    if (name, old, new) in LIMIT_MUTANTS:  # the limit serves the two-factor rows with Q = 1
+        assert len(tailfloors.SHAPES[spec.split("shape='")[1].split("'")[0]].factors) == 2, spec
+        assert "family='G'" not in spec, spec
 
 
 # Each shape's backbone sign flipped on that shape alone.
@@ -192,8 +183,8 @@ BACKBONES = {shape: recompiled(tailfloors.closed_floor, BACKBONE,
 
 def test_every_shape_has_a_backbone_mutant():
     assert BACKBONES.keys() == tailfloors.SHAPES.keys() and len(BACKBONES) == 14
-    # and nine that break the rule, its kappa or the backbone on every shape at once
-    assert len(RULE_MUTANTS) == 9
+    # and eleven that break the rule, its limit or the backbone on every shape at once
+    assert len(RULE_MUTANTS) == 11
 
 
 @pytest.mark.parametrize("shape", BACKBONES)

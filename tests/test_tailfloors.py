@@ -104,20 +104,38 @@ def test_corrected_companion_floors_against_local_oracle():
     assert closed_floor(TailSpec("C", "alt_consec_prod"), 2) == 1732
 
 
-def test_consecutive_product_offset_past_b_and_c():
-    # The consecutive product's offset reads only the record's P, Q and kappa, so
-    # every Q = 1 record takes it.  The plan reaches B and C alone, where P^2 in
-    # place of V(2) = P^2 - 2 keeps every floor: these records pin V(2) and kappa.
-    spec = TailSpec("B", "alt_consec_prod")
+def test_two_factor_offset_past_b_and_c():
+    # The six two-factor rows take one Binet limit, read from the record's P
+    # and kappa alone, so every Q = 1 record takes it.  The plan reaches B and
+    # C alone, where V(2L) + 2 in place of V(2L), or the squares sent back to
+    # the single-index rule, keep every floor: these records pin both.
     records = [Sequence("u", p, 1, "U", 1) for p in range(3, 13)]
     records += [Sequence("v", p, 1, "V", s) for p in range(3, 13) for s in (1, 2) if p % s == 0]
     assert len(records) == 25
+    shapes = [s for s in SHAPES if len(SHAPES[s].factors) == 2 and "B" in SHAPES[s].families]
+    assert len(shapes) == 6
+    misses, cases = set(), 0
     for seq in records:
-        for n in range(1, 31):
-            x = term(seq, n) * term(seq, n + 1) + term(seq, n - 1) * term(seq, n)
-            x += tailfloors._offset(spec, seq, n)
-            terms = [Fraction((-1) ** k, term(seq, k) * term(seq, k + 1)) for k in range(n, 2 * n + 8)]
-            assert (-x if n % 2 else x) == local_alternating_floor(terms), (seq, n)
+        S = dict(zip(range(-1, 141), values(seq, -1, 140)))
+        for shape in shapes:
+            spec, row = TailSpec("B", shape), SHAPES[shape]
+            L = row.l
+            for n in range(threshold(spec), 31):
+                i = L * (n - 1) + row.j
+                x = math.prod(S[i + L + f] for f in row.factors) + math.prod(S[i + f] for f in row.factors)
+                x += tailfloors._offset(spec, seq, n)
+                terms = [Fraction((-1) ** k, math.prod(S[L * k + row.j + f] for f in row.factors))
+                         for k in range(n, 2 * n + 8)]
+                cases += 1
+                if (-x if n % 2 else x) != local_alternating_floor(terms):
+                    misses.add((seq, shape, n))
+    assert cases == 4475
+    # Only first-n cases miss: V(P, 1) with s = 1 at the threshold of four
+    # shapes, where the limit's O(alpha^(-2Ln)) error term still shows.
+    first = {"alt_sq": 1, "alt_even_sq": 1, "alt_oddprod": 1, "alt_odd_sq": 2}
+    assert misses == {(seq, shape, n) for seq in records if seq.kind == "V" and seq.s == 1
+                      for shape, n in first.items()}
+    assert len(misses) == 40
 
 
 def test_spot_floors_against_local_oracle():
