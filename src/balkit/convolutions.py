@@ -33,9 +33,9 @@ def brute_conv(seq: Sequence, k: int, r: int, n: int) -> int:
     return sum(sub[m] * sub[n - m] for m in range(n + 1))
 
 
-# -- inner sums --------------------------------------------------------------
+# -- weighted sums -----------------------------------------------------------
 #
-# inner(n) = sum over j = 0..n of w(j) * g(n + 1 - j), g(m) = m * term(k*m + r),
+# The sum over j = 0..n of w(j) * g(n + 1 - j), g(m) = m * term(k*m + r),
 # with w(j) = A*l1^j + B*l2^j, is A*h1(n) + B*h2(n) for the running sums
 # h_i(n) = l_i * h_i(n - 1) + g(n + 1), h_i(-1) = 0.  Each (family, k, r) keeps
 # its latest sums and extends them as n grows, so a row up to n costs O(n) time
@@ -44,43 +44,38 @@ def brute_conv(seq: Sequence, k: int, r: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _row(seq: Sequence, k: int, r: int) -> tuple:
-    """(subtract, A, l1, B, l2, last) of one family, k and r.
+    """(tau, A, l1, B, l2, last) of one family, k and r.
 
-    With a = U(k) for U-type families and a = sqrt(D) U(k)/s for V-type ones,
-    the bases plus, minus = a +- S(r) and rot = +-Q^r S(k-r) (+ for U-type,
-    - for V-type): A = a/2/plus, l1 = -rot/plus, B = a/2/minus, l2 = rot/minus.
-    Where the weighted sum is subtracted (Q^(k-r) = -1 for U-type, +1 for
-    V-type), S(r) and rot carry a factor i.  last is [n + 1, h1(n), h2(n)]
-    for the latest n evaluated.
+    tau = +-Q^(k-r) and rot = +-Q^r S(k-r), + for U-type families and - for
+    V-type ones.  With a = U(k) for U-type and sqrt(D) U(k)/s for V-type, and
+    plus, minus = a +- S(r): A = a/2/plus, l1 = -rot/plus, B = a/2/minus and
+    l2 = rot/minus, where S(r) and rot carry a factor i if tau = -1.  last is
+    [n + 1, h1(n), h2(n)] for the latest n evaluated.
     """
     q, (f, d) = seq.q, seq.radicand
     uk, sr, skr = _lucas_u(seq.p, q, k)[0], _memo(seq, r), _memo(seq, k - r)
     sign = 1 if seq.kind == "U" else -1
-    subtract = q ** (k - r) == -sign
+    tau = sign * q ** (k - r)
     a = Fraction(uk) if sign == 1 else QuadRat.of(0, Fraction(f * uk, seq.s), d)
-    rot = Fraction(sign * q ** r * skr)
-    if subtract:
+    rot = sign * q ** r * skr
+    if tau == -1:
         sr, rot = GaussQuad.of(0, sr, d), GaussQuad.of(0, rot, d)
     half, plus, minus = a / 2, a + sr, a - sr
-    return subtract, half / plus, -rot / plus, half / minus, rot / minus, [0, 0, 0]
+    return tau, half / plus, -rot / plus, half / minus, rot / minus, [0, 0, 0]
 
 
 def closed_form_raw(seq: Sequence, k: int, r: int, n: int):
-    """The closed-form total before rationality extraction: a Fraction,
-    QuadRat, or GaussQuad whose irrational parts must vanish identically."""
+    """tau S(k-r) (A h1(n) + B h2(n) - (n+1) S(k(n+1) + r)) before rationality
+    extraction: a Fraction, QuadRat or GaussQuad whose irrational parts must vanish."""
     _validate(k, r, n)
-    subtract, a1, l1, a2, l2, last = _row(seq, k, r)
+    tau, a1, l1, a2, l2, last = _row(seq, k, r)
     m, h1, h2 = last if last[0] <= n + 1 else (0, 0, 0)
     for m in range(m + 1, n + 2):
         g = m * _memo(seq, k * m + r)
         h1, h2 = l1 * h1 + g, l2 * h2 + g
     last[:] = n + 1, h1, h2
     edge = (n + 1) * _memo(seq, k * (n + 1) + r)
-    inner = a1 * h1 + a2 * h2
-    outer = _memo(seq, k - r)
-    if subtract:
-        return outer * (edge - inner)
-    return outer * (-edge + inner)
+    return tau * _memo(seq, k - r) * (a1 * h1 + a2 * h2 - edge)
 
 
 def conv_closed(seq: Sequence, k: int, r: int, n: int) -> int:

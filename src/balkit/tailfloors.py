@@ -27,11 +27,11 @@ raises rather than fall back to a looser bracket.
 The enclosure's ends are unreduced integer numerator/denominator pairs:
 certify_floor takes no gcd and builds no Fraction.  Each round first tries
 the ends rounded outward by shifts to about F + 64 bits, F the floor's bit
-length, then 2F + 64, and last the exact ends, which the same code builds
-unrounded.  A rounded enclosure contains the exact one at the same terms, so
-the floor and the term count are the exact path's, while the ends carry a few
-times the floor's bits rather than 5 to 11.  Every enclosure, fresh or
-intersected, is checked for order by one exact cross product.
+length, or 2F + 64 on one factor per summand, then the exact ends, which the
+same code builds unrounded.  A rounded enclosure contains the exact one at
+the same terms, so the floor and the term count are the exact path's, while
+the ends carry a few times the floor's bits rather than 5 to 11.  One exact
+cross product checks every enclosure, fresh or intersected, for order.
 """
 
 from __future__ import annotations
@@ -257,8 +257,8 @@ def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor
     """Tighten the enclosure by doubling terms (2, 4, 8, ...) until the
     reciprocal floor is the same at both endpoints; intervals are intersected
     across rounds so refinement never widens.  Each round tries the enclosure
-    rounded outward to about F + 64 bits, then 2F + 64, and last the exact one,
-    so the floor and the term count are those of the exact enclosures alone.
+    rounded outward to about F + 64 or 2F + 64 bits, then the exact one, so
+    the floor and the term count are those of the exact enclosures alone.
     Raises UndecidedIntervalError if the budget is exhausted first."""
     _require_valid_n(spec, n)
     S, row = spec.sequence(), SHAPES[spec.shape]
@@ -266,8 +266,8 @@ def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor
     # F is about the floor's bits.  Below 256 bits the exact enclosure costs less
     # than a rounded one.  With one sequence factor per summand, 1/tail lies
     # within about 2^-F of an integer, which F + 64 bits cannot resolve: such
-    # tails start at 2F + 64.
-    scales = (None,) if F < 256 else (2, None) if len(row.factors) == 1 else (1, 2, None)
+    # tails round to 2F + 64, and products to F + 64.
+    scales = (None,) if F < 256 else (2 if len(row.factors) == 1 else 1, None)
     current, value, terms = None, 0, 2
     while terms <= max_terms:
         for scale in scales:

@@ -2,11 +2,12 @@
 
 Each mutant changes one constant of a closed form (a tail-floor offset, a
 term of the tail offset rule, the tail backbone's sign or index, a convolution
-row's sign, a generating-function coefficient, a constant on the right of an
-identity, a coefficient of the term kernel's doubling step, or a constant of
-the Binet route) and runs the unit of `balkit verify-all` that checks it.  A
-mutant that passed would mean the plan's grid never reaches the closed form
-that the constant belongs to: the grid is then fixed, never the mutant.
+row's sign or factor i, a generating-function coefficient, a constant on the
+right of an identity, a coefficient of the term kernel's doubling step, or a
+constant of the Binet route) and runs the unit of `balkit verify-all` that
+checks it.  A mutant that passed would mean the plan's grid never reaches the
+closed form that the constant belongs to: the grid is then fixed, never the
+mutant.
 """
 
 from __future__ import annotations
@@ -196,23 +197,32 @@ def test_flipped_backbone_fails_the_plan(monkeypatch, shape):
 
 # -- convolutions ---------------------------------------------------------------
 
-ROW_MUTANTS = {
-    "subtract": lambda subtract, a1, l1, a2, l2: (not subtract, a1, l1, a2, l2),
-    "rot sign": lambda subtract, a1, l1, a2, l2: (subtract, a1, -l1, a2, -l2),
-}
-
-
-@pytest.mark.parametrize("name", ROW_MUTANTS)
-def test_mutated_convolution_row_fails_the_plan(monkeypatch, name):
-    # A fresh cache over the uncached row: the mutant keeps its own running sums.
+def reweighted(change):
+    """A fresh cache over the uncached row with `change` applied to its
+    (tau, A, l1, B, l2): the mutant keeps its own running sums."""
     row = convolutions._row.__wrapped__
 
     @lru_cache(maxsize=None)
     def mutant(seq, k, r):
         *weights, last = row(seq, k, r)
-        return (*ROW_MUTANTS[name](*weights), last)
+        return (*change(*weights), last)
 
-    monkeypatch.setattr(convolutions, "_row", mutant)
+    return mutant
+
+
+ROW_MUTANTS = {
+    "tau sign": lambda: reweighted(lambda tau, a1, l1, a2, l2: (-tau, a1, l1, a2, l2)),
+    "rot sign": lambda: reweighted(lambda tau, a1, l1, a2, l2: (tau, a1, -l1, a2, -l2)),
+    # S(r) and rot without their factor i where tau = -1; recompiled, it is cached afresh
+    "twist dropped": lambda: recompiled(convolutions._row.__wrapped__,
+                                        "(GaussQuad.of(0, sr, d), GaussQuad.of(0, rot, d))",
+                                        "(sr, rot)"),
+}
+
+
+@pytest.mark.parametrize("name", ROW_MUTANTS)
+def test_mutated_convolution_row_fails_the_plan(monkeypatch, name):
+    monkeypatch.setattr(convolutions, "_row", ROW_MUTANTS[name]())
     caught(verify.convolutions(), UNIT_SIZES["convolutions"])
 
 

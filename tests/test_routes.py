@@ -65,11 +65,12 @@ def _audit(closed, other, args, *, other_is_kernel=False):
         assert other_side - SHARED
 
 
-# C with k = 4, r = 1 and F with k = 3, r = 0 evaluate over Q(sqrt d)(i).
+# The rows' weights live in plain rationals (B, G2), Q(sqrt 2)(i) (C),
+# Q(sqrt 5)(i) (F, L) and Q(sqrt 5) (L21, V-type with tau = +1).
 @pytest.mark.parametrize("seq, k, r", [
     (BALANCING, 5, 2), (LUCAS_BALANCING, 4, 1), (FIBONACCI, 3, 0), (LUCAS, 2, 0),
-    (gen_fibonacci(2), 3, 1),
-], ids=["B", "C", "F", "L", "G2"])
+    (gen_fibonacci(2), 3, 1), (LUCAS, 2, 1),
+], ids=["B", "C", "F", "L", "G2", "L21"])
 def test_convolution_routes_share_only_the_kernel(seq, k, r):
     _audit(convolutions.conv_closed, convolutions.brute_conv, (seq, k, r, 12))
 

@@ -398,13 +398,14 @@ def test_certificate_intersects_rounds_until_decided(monkeypatch):
         certify_floor(TailSpec("B", "alt"), 3, max_terms=2)
 
 
-@pytest.mark.parametrize("shape, n, scales", [("alt_sq", 200, [1, 2, None]), ("alt", 200, [2, None]),
+@pytest.mark.parametrize("shape, n, scales", [("alt_sq", 200, [1, None]), ("alt", 200, [2, None]),
                                               ("alt_sq", 3, [None])])
 def test_exact_ends_decide_when_the_rounded_do_not(monkeypatch, shape, n, scales):
     # 1/S spans [4.1, 6] on the rounded enclosures, which hold the exact one at
     # the same terms, and [4.1, 4.9] on it: the floor is 4 at 2 terms, as unrounded.
-    # A tail of one factor per summand skips F + 64 bits, which never decide it,
-    # and a floor of under 256 bits takes the exact enclosure alone.
+    # A tail of one factor per summand rounds to 2F + 64 bits, since F + 64 never
+    # decide it, a product to F + 64, and a floor of under 256 bits takes the
+    # exact enclosure alone.
     calls = stub_rounds(monkeypatch, {2: (1, 6, 10, 41), (2, None): (10, 49, 10, 41)})
     cert = certify_floor(TailSpec("B", shape), n)
     assert calls == [(2, scale) for scale in scales]
