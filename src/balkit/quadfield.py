@@ -182,14 +182,13 @@ class _Extension:
             return self.inverse() ** -exponent
         if exponent == 0:
             return _make(type(self), (1,) + (0,) * (len(self._n) - 1), 1, self.d)
-        result, base = None, self
-        while True:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if not exponent:
-                return result
-            base = base * base
+        # Left to right: square, then multiply by self, which stays small.
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
 
     def __eq__(self, other) -> bool:
         # Lowest terms: equal tuples, one zero-padded; across fields, no sqrt(d) part.

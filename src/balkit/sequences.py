@@ -10,7 +10,16 @@ squares, so U(2k-1) and U(2k+1) follow from U(k)^2 and U(k-1)^2 alone, and
 U(2k) from the recurrence U(2k+1) = P U(2k) - Q U(2k-1), a division by P
 that is exact because the recurrence holds in the integers.  Reduced mod m
 that division is not available (P may share a factor with m), so the
-modular route takes U(2k) as a product of word-sized residues instead."""
+modular route takes U(2k) as a product of word-sized residues instead.
+
+The exact route keeps one ladder, its last: the expansion
+(U(2k-1), U(2k), U(2k+1)) of each parent k it doubled, about six times the
+size of its result.  The next exact call of the same (P, Q) and bit length
+reads the levels whose parents it shares and doubles only the rest, so the
+sibling indices 2m and 2m + 1 cost one doubling between them and consecutive
+indices share all but a few levels.  What is kept was made by doubling steps,
+never by the recurrence of `values`, which stays the independent route.  The
+modular route keeps and reads nothing."""
 
 from __future__ import annotations
 
@@ -90,6 +99,12 @@ def family(letter: str, a: int = 1) -> Sequence:
     return _FAMILIES[letter]
 
 
+# The last exact ladder, at most one ((P, Q), n, levels): levels[j] is the
+# expansion E(k) = (U(2k-1), U(2k), U(2k+1)) of the parent k = n >> (b - 1 - j)
+# that level j of n's ladder doubles, b the bit length of n.
+_ladder: list = []
+
+
 def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, int]:
     """(U(n), U(n+1)) of the Lucas sequence U(P, Q), Q = +-1, at n >= 0 in
     two squarings per bit of n, optionally reduced mod `modulus` after every
@@ -105,23 +120,49 @@ def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, i
     the division exact because U(2k+1) = P U(2k) - Q U(2k-1) holds in the
     integers.  Mod m the quotient need not exist (P may share a factor with
     m), so that route, and P = 0, take U(2k) = U(k) (P U(k) - 2Q U(k-1)),
-    one product of residues.  At the end U(n+1) = P U(n) - Q U(n-1).
+    one product of residues.  The child 2k takes (U(2k-1), U(2k)) and 2k+1
+    takes (U(2k), U(2k+1)).  At the end U(n+1) = P U(n) - Q U(n-1).
+
+    The exact route keeps its last ladder in `_ladder`: each level's
+    expansion, at most bit_length(n) - 1 of them and about six times the size
+    of U(n) in all, replaced by the next exact call.  A call of the same
+    (P, Q) and bit length resumes it: its first
+    bit_length(n) - bit_length(n ^ last) levels double the same parents, so
+    it reads the last of those and doubles only the levels below, and
+    n = 2m + 1 after n = 2m squares nothing.  Every value still comes from a
+    doubling step, never from the recurrence of `values`, so the kernel
+    stays a route independent of the linear pass.  The modular route keeps
+    and reads nothing.
     """
     if q not in (1, -1):
         raise ValueError(f"the term kernel needs Q = +-1, got Q = {q}")
     c, two_q, divide = p * p - 3 * q, 2 * q, modulus is None and p != 0
+    levels, shared = [], 0
+    if modulus is None and _ladder:
+        key, last, levels = _ladder.pop()
+        if key == (p, q) and last.bit_length() == n.bit_length():
+            shared = min(len(levels), n.bit_length() - (n ^ last).bit_length())
+        del levels[shared:]
+    start = max(shared - 1, 0)
     # U(k-1), U(k), 2 Q^k at k = 1, the leading bit of n, or at k = 0 when n = 0
     prev, u, two_qk = (0, 1, two_q) if n else (-q, 0, 2)
-    for bit in bin(n)[3:]:
-        a, b = u * u, prev * prev
-        lo, hi = a - q * b, c * a - b + two_qk  # U(2k-1), U(2k+1)
-        mid = (hi + q * lo) // p if divide else u * (p * u - two_q * prev)  # U(2k)
+    for j, bit in enumerate(bin(n)[3 + start:], start):
+        if j < shared:  # the last level shared with the previous ladder
+            lo, mid, hi = levels[j]
+        else:
+            a, b = u * u, prev * prev
+            lo, hi = a - q * b, c * a - b + two_qk  # U(2k-1), U(2k+1)
+            mid = (hi + q * lo) // p if divide else u * (p * u - two_q * prev)  # U(2k)
+            if modulus is None:
+                levels.append((lo, mid, hi))
         if bit == "1":
             prev, u, two_qk = mid, hi, two_q
         else:
             prev, u, two_qk = lo, mid, 2
         if modulus is not None:
             prev, u = prev % modulus, u % modulus
+    if modulus is None:  # one record, even if a concurrent call left another
+        _ladder[:] = [((p, q), n, levels)]
     u1 = p * u - q * prev
     return (u, u1) if modulus is None else (u % modulus, u1 % modulus)
 

@@ -21,6 +21,7 @@ import pytest
 
 from balkit import convolutions, genfunc, identities, quadfield, sequences, tailfloors, verify
 from test_acceptance import PLAN_COUNTS
+from test_sequences import cold_kernel
 
 UNIT_SIZES = dict(PLAN_COUNTS)
 
@@ -69,15 +70,11 @@ KERNEL_MUTANTS = [
 
 @pytest.fixture
 def cold_memos():
-    """Empty term and convolution-row memos before and after the test, so no
-    value computed by one kernel is read under another."""
-    def clear():
-        sequences._memo.cache_clear()
-        convolutions._row.cache_clear()
-
-    clear()
-    yield
-    clear()
+    """Cold kernel state before and after the test: `recompiled` copies the
+    module's namespace shallowly, so a mutant kernel writes the real kernel's
+    ladder record, and without the reset its expansions would outlive the test."""
+    with cold_kernel():
+        yield
 
 
 @pytest.mark.parametrize("old, new, units", KERNEL_MUTANTS,
@@ -89,6 +86,19 @@ def test_kernel_coefficient_fails_the_plan(monkeypatch, cold_memos, old, new, un
         monkeypatch.setattr(module, "_lucas_u", mutant)
     for unit in units:
         caught(getattr(verify, unit)(), UNIT_SIZES[unit])
+
+
+def test_a_mutant_kernel_leaves_no_ladder_behind(cold_memos):
+    bs, cs = (sequences.values(seq, 0, 1001) for seq in (sequences.BALANCING, sequences.LUCAS_BALANCING))
+    want = [(bs[n], cs[n]) for n in (1000, 1001)]
+    assert [sequences.pair_fast(n) for n in (1000, 1001)] == want
+    old, new, _ = KERNEL_MUTANTS[1]
+    mutant = recompiled(sequences._lucas_u, old, new)
+    with cold_kernel():  # as around each mutant test
+        assert mutant(6, 1, 1001)[0] != bs[1001]
+        # the mutant's expansions sit in the real kernel's record, for the same (P, Q) and bit length
+        assert [(key, last) for key, last, _ in sequences._ladder] == [((6, 1), 1001)]
+    assert [sequences.pair_fast(n) for n in (1000, 1001)] == want
 
 
 # (expression in quadfield.binet, its mutant): U over sqrt d instead of f sqrt d,

@@ -254,6 +254,19 @@ def test_power_matches_sympy(x, e):
     assert_matches(x ** e, to_sympy(x) ** e)
 
 
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(RADICANDS).flatmap(members), st.integers(-20, 40))
+def test_power_equals_repeated_products(x, e):
+    # The power ladder against the plain product of |e| factors, inverted for e < 0.
+    assume(e >= 0 or x != 0)
+    product = lift(Fraction(1), x.d, isinstance(x, GaussQuad))
+    for _ in range(abs(e)):
+        product = product * x
+    want = product if e >= 0 else product.inverse()
+    got = x ** e
+    assert type(got) is type(x) and got == want
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.sampled_from(RADICANDS).flatmap(
     lambda d: st.tuples(st.just(d), members(d), lower_operands(d))))

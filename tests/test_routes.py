@@ -14,6 +14,7 @@ import balkit
 from balkit import convolutions, genfunc, quadfield, sequences, tailfloors
 from balkit.sequences import BALANCING, FIBONACCI, LUCAS, LUCAS_BALANCING, gen_fibonacci
 from balkit.tailfloors import TailSpec
+from test_sequences import cold_kernel
 
 PACKAGE = os.path.dirname(balkit.__file__)
 
@@ -36,20 +37,19 @@ SHARED = {
 
 
 def reach(route, *args):
-    """(value, code objects of balkit that route(*args) calls), from cold memos."""
-    sequences._memo.cache_clear()
-    convolutions._row.cache_clear()
+    """(value, code objects of balkit that route(*args) calls), from cold kernel state."""
     seen = set()
 
     def record(frame, event, arg):
         if event == "call" and os.path.dirname(frame.f_code.co_filename) == PACKAGE:
             seen.add(frame.f_code)
 
-    sys.setprofile(record)
-    try:
-        value = route(*args)
-    finally:
-        sys.setprofile(None)
+    with cold_kernel():
+        sys.setprofile(record)
+        try:
+            value = route(*args)
+        finally:
+            sys.setprofile(None)
     return value, seen
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from math import isqrt
 
 import pytest
@@ -27,8 +28,25 @@ from balkit import (
     term,
     values,
 )
-from balkit import sequences
+from balkit import convolutions, sequences
 from balkit.sequences import Sequence, _lucas_u, _squarefree
+
+
+@contextmanager
+def cold_kernel():
+    """The one reset for kernel state: the term memo, the kernel's ladder record
+    and the convolution-row memo are empty on entry and again on exit, also
+    when the body raises, so no value computed by one kernel is read under another."""
+    def clear():
+        sequences._memo.cache_clear()
+        sequences._ladder.clear()
+        convolutions._row.cache_clear()
+
+    clear()
+    try:
+        yield
+    finally:
+        clear()
 
 
 def iterate(mult, add, s0, s1, count):
@@ -361,8 +379,61 @@ def test_binet_matches_the_linear_pass(pairs):
 
 
 def test_term_memo_holds_only_requested_indices():
-    from balkit.sequences import _memo
+    with cold_kernel():
+        certify_floor(TailSpec("B", "alt_even_sq"), 1000)
+        assert sequences._memo.cache_info().currsize <= 36
 
-    _memo.cache_clear()
-    certify_floor(TailSpec("B", "alt_even_sq"), 1000)
-    assert _memo.cache_info().currsize <= 36
+
+# -- the resumable ladder ----------------------------------------------------------
+
+# Every named record, and the balancing-like U(3, 1), V(3, 1), U(4, 1), V(4, 1)/2.
+RECORDS = [BALANCING, LUCAS_BALANCING, FIBONACCI, LUCAS] + [gen_fibonacci(a) for a in range(1, 5)] + [
+    seq for pair in BALANCING_LIKE for seq in pair]
+LO, HI = -70, 1040
+# Terms of each record, and U of its (P, Q) for the expansions E(k) = (U(2k-1), U(2k), U(2k+1)),
+# from the linear pass.
+TERMS = {seq: dict(zip(range(LO, HI + 1), values(seq, LO, HI))) for seq in RECORDS}
+U_TERMS = {(seq.p, seq.q): values(Sequence("u", seq.p, seq.q, "U", 1), 0, HI + 2) for seq in RECORDS}
+POWERS_OF_TWO = sorted(2 ** k + d for k in range(1, 11) for d in (-1, 0, 1))
+# How each call picks its index: at a drawn one, or from the previous index again,
+# one below it, or at its sibling (n = 2m and 2m + 1 share the doubling of m).
+MOVES = st.one_of(st.tuples(st.just("at"), st.integers(LO, HI) | st.sampled_from(POWERS_OF_TWO)),
+                  st.tuples(st.sampled_from(("again", "down", "sibling")), st.just(0)))
+# Calls over two records, so that most calls meet a ladder of their own (P, Q);
+# a modulus of None is an exact call.
+CALLS = st.tuples(st.sampled_from(RECORDS), st.sampled_from(RECORDS)).flatmap(lambda two: st.lists(
+    st.tuples(st.sampled_from(two), MOVES, st.none() | st.sampled_from(EDGE_MODULI)),
+    min_size=1, max_size=40))
+
+
+@settings(deadline=None, max_examples=80)
+@given(CALLS)
+def test_resumed_ladder_equals_a_cold_one_and_the_linear_pass(calls):
+    with cold_kernel():
+        n = 0
+        for seq, (move, at), modulus in calls:
+            n = min(max({"at": at, "again": n, "down": n - 1, "sibling": n ^ 1}[move], LO), HI)
+            p, q, us = seq.p, seq.q, U_TERMS[seq.p, seq.q]
+            prior = [(key, last, list(levels)) for key, last, levels in sequences._ladder]
+            if modulus is not None:  # the modular route keeps nothing
+                k = abs(n)
+                assert _lucas_u(p, q, k, modulus) == (us[k] % modulus, us[k + 1] % modulus)
+                assert [(key, last, list(levels)) for key, last, levels in sequences._ladder] == prior
+                continue
+            got = term(seq, n)
+            assert got == TERMS[seq][n]
+            (key, last, levels), = sequences._ladder
+            k = n if n >= 0 else -n - 1  # the index term ran the ladder at
+            top = k.bit_length() - 1
+            assert (key, last) == ((p, q), k) and len(levels) <= max(top, 0)
+            assert levels == [tuple(us[2 * (k >> (top - j)) + i] for i in (-1, 0, 1))
+                              for j in range(len(levels))]
+            # The levels whose parents the previous ladder doubled are read, not doubled again.
+            for key, last, old in prior:
+                if key == (p, q) and last.bit_length() == k.bit_length():
+                    shared = top + 1 - (k ^ last).bit_length()
+                    assert all(levels[j] is old[j] for j in range(min(shared, len(old))))
+            kept = sequences._ladder[:]
+            sequences._ladder.clear()  # a cold ladder for the same call
+            assert term(seq, n) == got
+            sequences._ladder[:] = kept
