@@ -12,6 +12,13 @@ that is exact because the recurrence holds in the integers.  Reduced mod m
 that division is not available (P may share a factor with m), so the
 modular route takes U(2k) as a product of word-sized residues instead.
 
+At large indices nearly all of the time goes to those squarings, which
+CPython does by Karatsuba.  From `_TOOM` bits up the exact route squares by
+Toom-3 in `_square`, five squarings of a third of the size where Karatsuba
+recursion does nine; the result is the same integer.  The modular route,
+whose residues are word-sized, and the Binet route of `quadfield` keep the
+builtin product.
+
 The exact route keeps one ladder, its last: the expansion
 (U(2k-1), U(2k), U(2k+1)) of each parent k it doubled, about six times the
 size of its result.  The next exact call of the same (P, Q) and bit length
@@ -99,6 +106,36 @@ def family(letter: str, a: int = 1) -> Sequence:
     return _FAMILIES[letter]
 
 
+# The bit length from which `_square` splits its operand: below it CPython's
+# own product is as fast (Python 3.11, BENCH_toom_square.json).
+_TOOM = 20_000
+
+
+def _square(x: int) -> int:
+    """x * x, by Toom-3 from `_TOOM` bits up: |x| = x2 B^2 + x1 B + x0 with
+    B = 2^k and k = ceil(bits / 3), the limb polynomial squared at 0, 1, -1,
+    -2 and infinity (each through `_square`), and its five coefficients
+    interpolated by Bodrato's sequence: one exact division by 3, two exact
+    halvings, adds and shifts."""
+    x = abs(x)
+    if x.bit_length() < _TOOM:
+        return x * x
+    k = (x.bit_length() + 2) // 3
+    mask = (1 << k) - 1
+    x0, x1, x2 = x & mask, (x >> k) & mask, x >> 2 * k
+    p = x0 + x2
+    vm1 = p - x1
+    r0, r1, rm1, r4 = _square(x0), _square(p + x1), _square(vm1), _square(x2)
+    rm2 = _square(((vm1 + x2) << 1) - x0)  # the square at -2: x0 - 2 x1 + 4 x2
+    r3 = (rm2 - r1) // 3
+    r1 = (r1 - rm1) >> 1
+    r2 = rm1 - r0
+    r3 = ((r2 - r3) >> 1) + 2 * r4
+    r2 += r1 - r4
+    r1 -= r3
+    return r0 + (r1 << k) + (r2 << 2 * k) + (r3 << 3 * k) + (r4 << 4 * k)
+
+
 # The last exact ladder, at most one ((P, Q), n, levels): levels[j] is the
 # expansion E(k) = (U(2k-1), U(2k), U(2k+1)) of the parent k = n >> (b - 1 - j)
 # that level j of n's ladder doubles, b the bit length of n.
@@ -122,6 +159,11 @@ def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, i
     m), so that route, and P = 0, take U(2k) = U(k) (P U(k) - 2Q U(k-1)),
     one product of residues.  The child 2k takes (U(2k-1), U(2k)) and 2k+1
     takes (U(2k), U(2k+1)).  At the end U(n+1) = P U(n) - Q U(n-1).
+
+    The exact route squares by Toom-3 (`_square`) once U(k) has `_TOOM`
+    bits; the test sits in the ladder, so that smaller steps pay no extra
+    call.  The modular route, whose residues are word-sized, keeps the
+    builtin product.
 
     The exact route keeps its last ladder in `_ladder`: each level's
     expansion, at most bit_length(n) - 1 of them and about six times the size
@@ -150,7 +192,8 @@ def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, i
         if j < shared:  # the last level shared with the previous ladder
             lo, mid, hi = levels[j]
         else:
-            a, b = u * u, prev * prev
+            a, b = ((u * u, prev * prev) if u.bit_length() < _TOOM or modulus is not None
+                    else (_square(u), _square(prev)))
             lo, hi = a - q * b, c * a - b + two_qk  # U(2k-1), U(2k+1)
             mid = (hi + q * lo) // p if divide else u * (p * u - two_q * prev)  # U(2k)
             if modulus is None:

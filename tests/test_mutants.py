@@ -7,7 +7,9 @@ right of an identity, a coefficient of the term kernel's doubling step, or a
 constant of the Binet route) and runs the unit of `balkit verify-all` that
 checks it.  A mutant that passed would mean the plan's grid never reaches the
 closed form that the constant belongs to: the grid is then fixed, never the
-mutant.
+mutant.  The one exception is the kernel's Toom-3 square, which serves only
+operands larger than any the plan squares; its mutants must fail the Toom
+tests of test_sequences instead.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pytest
 
 from balkit import convolutions, genfunc, identities, quadfield, sequences, tailfloors, verify
 from test_acceptance import PLAN_COUNTS
-from test_sequences import cold_kernel
+from test_sequences import SQUARE_CASES, TOOM_INDICES, TOOM_TERMS, cold_kernel
 
 UNIT_SIZES = dict(PLAN_COUNTS)
 
@@ -99,6 +101,29 @@ def test_a_mutant_kernel_leaves_no_ladder_behind(cold_memos):
         # the mutant's expansions sit in the real kernel's record, for the same (P, Q) and bit length
         assert [(key, last) for key, last, _ in sequences._ladder] == [((6, 1), 1001)]
     assert [sequences.pair_fast(n) for n in (1000, 1001)] == want
+
+
+# (expression in sequences._square, its mutant): the point -2 moved to 2, the
+# exact division by 3 made by 2, r4 = r(inf) not doubled, and each halving
+# dropped.  The plan cannot catch these: its largest square, U(2500) in the
+# kernel unit, has about 6.4 * 10^3 bits, under `_TOOM`, so the Toom tests of
+# test_sequences must.
+TOOM_MUTANTS = [
+    ("(vm1 + x2 << 1) - x0", "(p + x1 + x2 << 1) - x0"),
+    ("(rm2 - r1) // 3", "(rm2 - r1) // 2"),
+    ("2 * r4", "r4"),
+    ("r1 - rm1 >> 1", "r1 - rm1"),
+    ("r2 - r3 >> 1", "r2 - r3"),
+]
+
+
+@pytest.mark.parametrize("old, new", TOOM_MUTANTS, ids=[f"{old} -> {new}" for old, new in TOOM_MUTANTS])
+def test_toom_mutant_fails_the_square_tests(monkeypatch, cold_memos, old, new):
+    monkeypatch.setattr(sequences, "_square", recompiled(sequences._square, old, new))
+    assert any(sequences._square(x) != x * x for x in SQUARE_CASES.values())
+    # and the kernel, which reads `_square` from its module
+    bs, cs = TOOM_TERMS[sequences.BALANCING], TOOM_TERMS[sequences.LUCAS_BALANCING]
+    assert all(sequences.pair_fast(n) != (bs[n], cs[n]) for n in TOOM_INDICES)
 
 
 # (expression in quadfield.binet, its mutant): U over sqrt d instead of f sqrt d,

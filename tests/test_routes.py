@@ -106,3 +106,13 @@ def test_generating_function_routes_share_only_the_kernel():
     _audit(lambda seq, k, r: genfunc.expand(genfunc.gf(seq, k, r), 20),
            lambda seq, k, r: [sequences.term(seq, k * i + r) for i in range(20)],
            (LUCAS_BALANCING, 4, 1), other_is_kernel=True)
+
+
+def test_binet_never_reaches_the_toom_square():
+    # At n = 30,000 the term kernel squares U(15,000), of 38,000 bits, by Toom-3;
+    # the Binet route keeps the builtin product, so it stays independent of that arithmetic.
+    n = 30_000
+    (u, _), binet_side = reach(quadfield.binet, BALANCING, n)
+    expected, kernel_side = reach(sequences.term, BALANCING, n)
+    assert u == expected
+    assert sequences._square.__code__ in kernel_side and sequences._square.__code__ not in binet_side

@@ -437,3 +437,75 @@ def test_resumed_ladder_equals_a_cold_one_and_the_linear_pass(calls):
             sequences._ladder.clear()  # a cold ladder for the same call
             assert term(seq, n) == got
             sequences._ladder[:] = kept
+
+
+# -- Toom-3 squaring -----------------------------------------------------------------
+
+TOOM = sequences._TOOM
+
+
+@st.composite
+def square_operands(draw):
+    """+-(x2 B^2 + x1 B + x0), B = 2^k, from just below `_TOOM` bits to about
+    4 times it.  x2 has k - 2 to k bits, so `_square` splits at this k; its top
+    limb is then never 0, and 1 is its smallest.  x1 and x0 are 0, 1, B - 1
+    or any limb: a zero middle or low limb, and a middle limb larger than the
+    others' sum, whose square at -1 is of a negative value."""
+    k = draw(st.integers(TOOM // 3 - 4, 4 * TOOM // 3))
+    limb = st.sampled_from((0, 1, (1 << k) - 1)) | st.integers(0, (1 << k) - 1)
+    x2 = draw(st.sampled_from((1 << k - 3, (1 << k) - 1)) | st.integers(1 << k - 3, (1 << k) - 1))
+    x = (x2 << 2 * k) + (draw(limb) << k) + draw(limb)
+    return x if draw(st.booleans()) else -x
+
+
+@settings(deadline=None, max_examples=150)
+@given(square_operands())
+def test_toom_square_equals_the_builtin_product(x):
+    assert sequences._square(x) == x * x
+
+
+_rng = random.Random(3301)
+# 0, +-1, 2^m and 2^m - 1 at bit lengths on both sides of `_TOOM`, and
+# operands of 3 * 10^5 bits and more, whose split recurses several levels.
+SQUARE_CASES = {"0": 0, "1": 1, "-1": -1} | {
+    sign + name.format(m): s * (2 ** m - d) for m in (TOOM - 1, TOOM, TOOM + 1, 3 * TOOM, 300_001)
+    for d, name in ((0, "2^{}"), (1, "(2^{}-1)")) for s, sign in ((1, ""), (-1, "-"))} | {
+    f"{sign}random {bits} bits": s * (_rng.getrandbits(bits) | 1 << bits - 1)
+    for bits in (300_000, 450_001) for s, sign in ((1, ""), (-1, "-"))}
+
+
+@pytest.mark.parametrize("x", SQUARE_CASES.values(), ids=SQUARE_CASES)
+def test_toom_square_pinned_cases(x):
+    assert sequences._square(x) == x * x
+
+
+def linear(seq, indices):
+    """{n: S(n)} for the given n >= 0, by the recurrence of `values` run from
+    S(0) and S(1), keeping only the wanted terms."""
+    prev, cur, out = term(seq, 0), term(seq, 1), {}
+    for n in range(max(indices) + 1):
+        if n in indices:
+            out[n] = prev
+        prev, cur = cur, seq.p * cur - seq.q * prev
+    return out
+
+
+# Above the threshold: U(k) reaches `_TOOM` bits at k near 7,900 for B and C,
+# 11,600 for G(3) and 28,800 for F, and the ladder of n squares U(n // 2).
+TOOM_INDICES = (20000, 20001, 40000)
+TOOM_TERMS = {seq: linear(seq, indices) for seq, indices in [
+    (BALANCING, TOOM_INDICES), (LUCAS_BALANCING, TOOM_INDICES),
+    (gen_fibonacci(3), {40000, 40001}), (FIBONACCI, {65536, 65537})]}
+
+
+def test_kernel_above_the_toom_threshold():
+    bs, cs = TOOM_TERMS[BALANCING], TOOM_TERMS[LUCAS_BALANCING]
+    with cold_kernel():
+        resumed = [pair_fast(n) for n in TOOM_INDICES]  # 20001 resumes 20000's ladder
+        cold = []
+        for n in TOOM_INDICES:
+            sequences._ladder.clear()
+            cold.append(pair_fast(n))
+        assert resumed == cold == [(bs[n], cs[n]) for n in TOOM_INDICES]
+        for seq in (gen_fibonacci(3), FIBONACCI):
+            assert {n: term(seq, n) for n in TOOM_TERMS[seq]} == TOOM_TERMS[seq]
