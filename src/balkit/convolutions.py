@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .quadfield import GaussQuad, QuadRat, certified_int
-from .sequences import BALANCING, Sequence, _lucas_u, _memo
+from .sequences import BALANCING, Sequence, _memo
 
 
 def _validate(k: int, r: int, n: int) -> None:
@@ -53,7 +53,7 @@ def _row(seq: Sequence, k: int, r: int) -> tuple:
     [n + 1, h1(n), h2(n)] for the latest n evaluated.
     """
     q, (f, d) = seq.q, seq.radicand
-    uk, sr, skr = _lucas_u(seq.p, q, k)[0], _memo(seq, r), _memo(seq, k - r)
+    uk, sr, skr = _memo(Sequence("u", seq.p, q, "U", 1), k), _memo(seq, r), _memo(seq, k - r)
     sign = 1 if seq.kind == "U" else -1
     tau = sign * q ** (k - r)
     a = Fraction(uk) if sign == 1 else QuadRat.of(0, Fraction(f * uk, seq.s), d)

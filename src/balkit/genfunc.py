@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .sequences import Sequence, _lucas_u, term
+from .sequences import Sequence, term
 
 
 class RationalGF(namedtuple("RationalGF", "numer denom")):
@@ -53,11 +53,9 @@ def gf(seq: Sequence, k: int, r: int) -> RationalGF:
     """
     if not k > r >= 0:
         raise ValueError(f"need k > r >= 0, got k={k}, r={r}")
-    p, q = seq.p, seq.q
-    u, u1 = _lucas_u(p, q, k)
-    sign = 1 if seq.kind == "U" else -1
+    q, sign = seq.q, 1 if seq.kind == "U" else -1
     return RationalGF((term(seq, r), sign * q ** r * term(seq, k - r)),
-                      (1, -(2 * u1 - p * u), q ** k))
+                      (1, -term(Sequence("v", seq.p, q, "V", 1), k), q ** k))
 
 
 def expand(g: RationalGF, count: int) -> list[int]:

@@ -3,30 +3,31 @@ Lucas, and generalized Fibonacci terms at arbitrary (including negative)
 indices.  Each is a Lucas record (P, Q, kind, s), so one fast-doubling routine
 gives every term and the balancing pair, and one memo serves the modules that
 revisit indices; the linear pass in `values` stays as the independent route.
+Only `term` turns U into V, and other modules read U(k) or V(k) of a (P, Q)
+through the records U(P, Q) and V(P, Q), never through the kernel itself.
 
 The doubling step costs two squarings per bit.  Cassini's identity
 U(k+1) U(k-1) - U(k)^2 = -Q^(k-1) turns the cross product U(k) U(k-1) into
 squares, so U(2k-1) and U(2k+1) follow from U(k)^2 and U(k-1)^2 alone, and
 U(2k) from the recurrence U(2k+1) = P U(2k) - Q U(2k-1), a division by P
-that is exact because the recurrence holds in the integers.  Reduced mod m
-that division is not available (P may share a factor with m), so the
-modular route takes U(2k) as a product of word-sized residues instead.
+that is exact because the recurrence holds in the integers.
 
 At large indices nearly all of the time goes to those squarings, which
-CPython does by Karatsuba.  From `_TOOM` bits up the exact route squares by
+CPython does by Karatsuba.  From `_TOOM` bits up the kernel squares by
 Toom-3 in `_square`, five squarings of a third of the size where Karatsuba
-recursion does nine; the result is the same integer.  The modular route,
-whose residues are word-sized, and the Binet route of `quadfield` keep the
-builtin product.
+recursion does nine; the result is the same integer.  The Binet route of
+`quadfield` keeps the builtin product.
 
-The exact route keeps one ladder, its last: the expansion
+The kernel keeps one ladder, its last: the expansion
 (U(2k-1), U(2k), U(2k+1)) of each parent k it doubled, about six times the
-size of its result.  The next exact call of the same (P, Q) and bit length
-reads the levels whose parents it shares and doubles only the rest, so the
+size of its result.  The next call of the same (P, Q) and bit length reads
+the levels whose parents it shares and doubles only the rest, so the
 sibling indices 2m and 2m + 1 cost one doubling between them and consecutive
 indices share all but a few levels.  What is kept was made by doubling steps,
-never by the recurrence of `values`, which stays the independent route.  The
-modular route keeps and reads nothing."""
+never by the recurrence of `values`, which stays the independent route.
+
+`pair_mod` runs a ladder of its own, on residues of U(6, 1), and keeps
+nothing: it shares no code with `pair_fast`, so each checks the other."""
 
 from __future__ import annotations
 
@@ -142,10 +143,9 @@ def _square(x: int) -> int:
 _ladder: list = []
 
 
-def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, int]:
-    """(U(n), U(n+1)) of the Lucas sequence U(P, Q), Q = +-1, at n >= 0 in
-    two squarings per bit of n, optionally reduced mod `modulus` after every
-    step.
+def _lucas_u(p: int, q: int, n: int) -> tuple[int, int]:
+    """(U(n), U(n+1)) of the Lucas sequence U(P, Q) of a family, Q = +-1 and
+    P != 0, at n >= 0 in two squarings per bit of n.
 
     The ladder holds (U(k-1), U(k)) from k = 1 (k = 0, with U(-1) = -Q, when
     n = 0) and reads a = U(k)^2 and b = U(k-1)^2.  Cassini's identity
@@ -155,32 +155,26 @@ def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, i
         U(2k+1) = U(k+1)^2 - Q a = (P^2 - 3Q) a - b + 2 Q^k,
         U(2k)   = (U(2k+1) + Q U(2k-1)) / P,
     the division exact because U(2k+1) = P U(2k) - Q U(2k-1) holds in the
-    integers.  Mod m the quotient need not exist (P may share a factor with
-    m), so that route, and P = 0, take U(2k) = U(k) (P U(k) - 2Q U(k-1)),
-    one product of residues.  The child 2k takes (U(2k-1), U(2k)) and 2k+1
-    takes (U(2k), U(2k+1)).  At the end U(n+1) = P U(n) - Q U(n-1).
+    integers.  The child 2k takes (U(2k-1), U(2k)) and 2k+1 takes
+    (U(2k), U(2k+1)).  At the end U(n+1) = P U(n) - Q U(n-1).
 
-    The exact route squares by Toom-3 (`_square`) once U(k) has `_TOOM`
-    bits; the test sits in the ladder, so that smaller steps pay no extra
-    call.  The modular route, whose residues are word-sized, keeps the
-    builtin product.
+    It squares by Toom-3 (`_square`) once U(k) has `_TOOM` bits; the test
+    sits in the ladder, so that smaller steps pay no extra call.
 
-    The exact route keeps its last ladder in `_ladder`: each level's
-    expansion, at most bit_length(n) - 1 of them and about six times the size
-    of U(n) in all, replaced by the next exact call.  A call of the same
-    (P, Q) and bit length resumes it: its first
-    bit_length(n) - bit_length(n ^ last) levels double the same parents, so
-    it reads the last of those and doubles only the levels below, and
-    n = 2m + 1 after n = 2m squares nothing.  Every value still comes from a
-    doubling step, never from the recurrence of `values`, so the kernel
-    stays a route independent of the linear pass.  The modular route keeps
-    and reads nothing.
+    It keeps its last ladder in `_ladder`: each level's expansion, at most
+    bit_length(n) - 1 of them and about six times the size of U(n) in all,
+    replaced by the next call.  A call of the same (P, Q) and bit length
+    resumes it: its first bit_length(n) - bit_length(n ^ last) levels double
+    the same parents, so it reads the last of those and doubles only the
+    levels below, and n = 2m + 1 after n = 2m squares nothing.  Every value
+    still comes from a doubling step, never from the recurrence of `values`,
+    so the kernel stays a route independent of the linear pass.
     """
     if q not in (1, -1):
         raise ValueError(f"the term kernel needs Q = +-1, got Q = {q}")
-    c, two_q, divide = p * p - 3 * q, 2 * q, modulus is None and p != 0
+    c, two_q = p * p - 3 * q, 2 * q
     levels, shared = [], 0
-    if modulus is None and _ladder:
+    if _ladder:
         key, last, levels = _ladder.pop()
         if key == (p, q) and last.bit_length() == n.bit_length():
             shared = min(len(levels), n.bit_length() - (n ^ last).bit_length())
@@ -192,22 +186,16 @@ def _lucas_u(p: int, q: int, n: int, modulus: int | None = None) -> tuple[int, i
         if j < shared:  # the last level shared with the previous ladder
             lo, mid, hi = levels[j]
         else:
-            a, b = ((u * u, prev * prev) if u.bit_length() < _TOOM or modulus is not None
-                    else (_square(u), _square(prev)))
+            a, b = (u * u, prev * prev) if u.bit_length() < _TOOM else (_square(u), _square(prev))
             lo, hi = a - q * b, c * a - b + two_qk  # U(2k-1), U(2k+1)
-            mid = (hi + q * lo) // p if divide else u * (p * u - two_q * prev)  # U(2k)
-            if modulus is None:
-                levels.append((lo, mid, hi))
+            mid = (hi + q * lo) // p  # U(2k)
+            levels.append((lo, mid, hi))
         if bit == "1":
             prev, u, two_qk = mid, hi, two_q
         else:
             prev, u, two_qk = lo, mid, 2
-        if modulus is not None:
-            prev, u = prev % modulus, u % modulus
-    if modulus is None:  # one record, even if a concurrent call left another
-        _ladder[:] = [((p, q), n, levels)]
-    u1 = p * u - q * prev
-    return (u, u1) if modulus is None else (u % modulus, u1 % modulus)
+    _ladder[:] = [((p, q), n, levels)]  # one record, even if a concurrent call left another
+    return u, p * u - q * prev
 
 
 def term(seq: Sequence, n: int) -> int:
@@ -257,12 +245,22 @@ def pair_fast(n: int) -> tuple[int, int]:
 
 
 def pair_mod(n: int, modulus: int) -> tuple[int, int]:
-    """pair_fast(n) reduced mod `modulus` at every step."""
+    """pair_fast(n) mod `modulus`, by a ladder of its own over
+    (U(k), U(k+1)) of U(6, 1), reduced mod m at every step:
+        U(2k)   = U(k) (2 U(k+1) - 6 U(k)),
+        U(2k+1) = (U(k+1) - U(k)) (U(k+1) + U(k)),
+    two products of residues per bit.  The exact kernel's division by P has
+    no counterpart here, since 6 may share a factor with m.  It keeps no
+    state and shares no code with `pair_fast`, so each checks the other."""
     if n < 0:
         raise ValueError(f"pair_mod requires n >= 0, got {n}")
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    u, u1 = _lucas_u(6, 1, n, modulus)
+    u, u1 = 0, 1 % modulus  # U(0), U(1)
+    for bit in bin(n)[2:]:
+        u, u1 = u * (2 * u1 - 6 * u) % modulus, (u1 - u) * (u1 + u) % modulus
+        if bit == "1":
+            u, u1 = u1, (6 * u1 - u) % modulus
     return u, (u1 - 3 * u) % modulus
 
 

@@ -41,7 +41,7 @@ from collections import namedtuple
 from functools import partial
 from typing import NamedTuple
 
-from .sequences import Sequence, _lucas_u, _memo, family
+from .sequences import Sequence, _memo, family
 
 
 class UndecidedIntervalError(ArithmeticError):
@@ -129,9 +129,8 @@ def _offset(spec: TailSpec, S: Sequence, n: int) -> int:
         return n % 2 - eta if row.alternating else eta - 1
     kappa = _memo(S, 0) * _memo(S, 2) - _memo(S, 1) ** 2
     L, t = row.l * spec.l, row.factors[1] - row.factors[0]
-    # (U(m), U(m+1)) of (P, 1) at m = L, t, 2L, and V(m) = 2 U(m+1) - P U(m)
-    (u, _), (a, b), (c, d) = (_lucas_u(S.p, 1, m) for m in (L, t, 2 * L))
-    return n % 2 + (-kappa * (2 * b - S.p * a) * u ** 2) // (2 * d - S.p * c)
+    U, V = Sequence("u", S.p, 1, "U", 1), Sequence("v", S.p, 1, "V", 1)
+    return n % 2 + (-kappa * _memo(V, t) * _memo(U, L) ** 2) // _memo(V, 2 * L)
 
 
 def closed_floor(spec: TailSpec, n: int) -> int:

@@ -3,9 +3,9 @@
 Each mutant changes one constant of a closed form (a tail-floor offset, a
 term of the tail offset rule, the tail backbone's sign or index, a convolution
 row's sign or factor i, a generating-function coefficient, a constant on the
-right of an identity, a coefficient of the term kernel's doubling step, or a
-constant of the Binet route) and runs the unit of `balkit verify-all` that
-checks it.  A mutant that passed would mean the plan's grid never reaches the
+right of an identity, a coefficient of the term kernel's doubling step or of
+`pair_mod`'s modular ladder, or a constant of the Binet route) and runs the
+unit of `balkit verify-all` that checks it.  A mutant that passed would mean the plan's grid never reaches the
 closed form that the constant belongs to: the grid is then fixed, never the
 mutant.  The one exception is the kernel's Toom-3 square, which serves only
 operands larger than any the plan squares; its mutants must fail the Toom
@@ -15,12 +15,15 @@ tests of test_sequences instead.
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
+import pkgutil
 import sys
 from functools import lru_cache
 
 import pytest
 
+import balkit
 from balkit import convolutions, genfunc, identities, quadfield, sequences, tailfloors, verify
 from test_acceptance import PLAN_COUNTS
 from test_sequences import SQUARE_CASES, TOOM_INDICES, TOOM_TERMS, cold_kernel
@@ -82,12 +85,18 @@ def cold_memos():
 @pytest.mark.parametrize("old, new, units", KERNEL_MUTANTS,
                          ids=[f"{old} -> {new}" for old, new, _ in KERNEL_MUTANTS])
 def test_kernel_coefficient_fails_the_plan(monkeypatch, cold_memos, old, new, units):
-    mutant = recompiled(sequences._lucas_u, old, new)
-    # every module that binds the kernel by name
-    for module in (sequences, convolutions, genfunc):
-        monkeypatch.setattr(module, "_lucas_u", mutant)
+    # sequences is the one module that binds the kernel (test_only_sequences_binds_the_kernel)
+    monkeypatch.setattr(sequences, "_lucas_u", recompiled(sequences._lucas_u, old, new))
     for unit in units:
         caught(getattr(verify, unit)(), UNIT_SIZES[unit])
+
+
+def test_only_sequences_binds_the_kernel():
+    # Other modules read U(k) and V(k) through `term` or `_memo`, so patching
+    # sequences._lucas_u reaches every caller.
+    modules = [balkit] + [importlib.import_module(f"balkit.{info.name}")
+                          for info in pkgutil.iter_modules(balkit.__path__)]
+    assert [module.__name__ for module in modules if hasattr(module, "_lucas_u")] == ["balkit.sequences"]
 
 
 def test_a_mutant_kernel_leaves_no_ladder_behind(cold_memos):
@@ -101,6 +110,27 @@ def test_a_mutant_kernel_leaves_no_ladder_behind(cold_memos):
         # the mutant's expansions sit in the real kernel's record, for the same (P, Q) and bit length
         assert [(key, last) for key, last, _ in sequences._ladder] == [((6, 1), 1001)]
     assert [sequences.pair_fast(n) for n in (1000, 1001)] == want
+
+
+# (expression in sequences.pair_mod, its mutant): the coefficient P = 6 in
+# U(2k) = U(k) (2 U(k+1) - 6 U(k)), U(k+1) + U(k) in U(2k+1), the sign in the
+# odd step's U(2k+2) = 6 U(2k+1) - U(2k), the 2 of 2 U(k+1), the 3 of
+# C = U(n+1) - 3 U(n), and the seed U(1).  The identities unit reads pair_mod
+# through check_prime_congruences.
+MOD_MUTANTS = [
+    ("6 * u", "5 * u"),
+    ("(u1 - u) * (u1 + u)", "(u1 - u) * (u1 - u)"),
+    ("6 * u1 - u", "6 * u1 + u"),
+    ("2 * u1", "u1"),
+    ("u1 - 3 * u", "u1 - 2 * u"),
+    ("1 % modulus", "0"),
+]
+
+
+@pytest.mark.parametrize("old, new", MOD_MUTANTS, ids=[f"{old} -> {new}" for old, new in MOD_MUTANTS])
+def test_modular_ladder_mutant_fails_the_identities_unit(monkeypatch, old, new):
+    monkeypatch.setattr(identities, "pair_mod", recompiled(sequences.pair_mod, old, new))
+    assert caught(verify.identities(), UNIT_SIZES["identities"])["label"].startswith("prime-congruence")
 
 
 # (expression in sequences._square, its mutant): the point -2 moved to 2, the
@@ -174,16 +204,17 @@ def test_shifted_tail_offset_fails_the_plan(monkeypatch, shape, family, parity, 
     assert n % 2 == parity
 
 
-# The two-factor rows' limit -kappa V(t) U(L)^2 / V(2L), with V(m) read from
-# (U(m), U(m+1)) at m = L, t, 2L: kappa's sign flipped and kappa dropped,
-# V(t) read at t + 1, U(L) not squared, and V(2L) read at L.  Each fails 100
-# to 300 of the plan's 895 tail cases, all on two-factor rows of B and C.
+# The two-factor rows' limit -kappa V(t) U(L)^2 / V(2L), with U(m) and V(m)
+# read from the records U(P, 1) and V(P, 1): kappa's sign flipped and kappa
+# dropped, V(t) read at t + 1, U(L) not squared, and V(2L) read at L.  Each
+# fails 100 to 300 of the plan's 895 tail cases, all on two-factor rows of B
+# and C.
 LIMIT_MUTANTS = [
     ("_offset", "-kappa", "kappa"),
     ("_offset", "_memo(S, 0) * _memo(S, 2) - _memo(S, 1) ** 2", "0"),
-    ("_offset", "(L, t, 2 * L)", "(L, t + 1, 2 * L)"),
-    ("_offset", "u ** 2", "u"),
-    ("_offset", "(L, t, 2 * L)", "(L, t, L)"),
+    ("_offset", "_memo(V, t)", "_memo(V, t + 1)"),
+    ("_offset", "_memo(U, L) ** 2", "_memo(U, L)"),
+    ("_offset", "_memo(V, 2 * L)", "_memo(V, L)"),
 ]
 
 # (function in tailfloors, expression in it, its mutant): the offset rule, its

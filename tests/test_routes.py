@@ -116,3 +116,14 @@ def test_binet_never_reaches_the_toom_square():
     expected, kernel_side = reach(sequences.term, BALANCING, n)
     assert u == expected
     assert sequences._square.__code__ in kernel_side and sequences._square.__code__ not in binet_side
+
+
+def test_pair_mod_and_pair_fast_share_no_code():
+    # pair_mod runs a ladder of its own, so checking it against pair_fast checks
+    # one route against another, not the kernel against itself.
+    n, m = 1000, 2 ** 61 - 1
+    (bm, cm), mod_side = reach(sequences.pair_mod, n, m)
+    (b, c), fast_side = reach(sequences.pair_fast, n)
+    assert (bm, cm) == (b % m, c % m)
+    assert mod_side and fast_side and mod_side.isdisjoint(fast_side), sorted(
+        code.co_name for code in mod_side & fast_side)

@@ -227,20 +227,22 @@ def test_product_of_balancing_numbers_not_balancing():
 # -- property tests of the doubling kernel against independent routes --------
 
 
-def mat_pow(m, n):
-    """Integer 2x2 matrix power by repeated squaring, n >= 0."""
+def mat_pow(m, n, modulus=None):
+    """Integer 2x2 matrix power by repeated squaring, n >= 0, each product
+    reduced mod `modulus` if one is given."""
     result = ((1, 0), (0, 1))
     while n:
         if n & 1:
-            result = mat_mul(result, m)
-        m = mat_mul(m, m)
+            result = mat_mul(result, m, modulus)
+        m = mat_mul(m, m, modulus)
         n >>= 1
     return result
 
 
-def mat_mul(x, y):
-    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
-                 for i in range(2))
+def mat_mul(x, y, modulus=None):
+    product = tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
+                    for i in range(2))
+    return product if modulus is None else tuple(tuple(v % modulus for v in row) for row in product)
 
 
 def fib_like(a, n):
@@ -298,31 +300,14 @@ def test_pair_mod_at_the_first_indices(m):
         assert pair_mod(n, m) == (b % m, c % m)
 
 
-@pytest.mark.parametrize("seq", [FIBONACCI, LUCAS, gen_fibonacci(2)], ids=["F", "L", "G2"])
-@pytest.mark.parametrize("m", EDGE_MODULI)
-def test_kernel_mod_m_matches_the_reduced_exact_pair(seq, m):
-    p, q, s0, s1 = seq.p, seq.q, term(seq, 0), term(seq, 1)
-    us = iterate(p, -q, 0, 1, 202)
-    for n in list(range(40)) + [63, 64, 65, 127, 128, 200]:
-        u, u1 = _lucas_u(p, q, n, m)
-        assert (u, u1) == (us[n] % m, us[n + 1] % m)
-        assert (s0 * u1 + (s1 - p * s0) * u) % m == term(seq, n) % m
-
-
 @settings(deadline=None)
-@given(st.integers(-12, 12), st.sampled_from((1, -1)), st.integers(0, 3000),
-       st.one_of(st.integers(1, 64), st.integers(1, 10 ** 20)))
-def test_kernel_mod_m_matches_reduced_kernel(p, q, n, m):
-    # P = 0 and P sharing a factor with m both take the product for U(2k).
-    u, u1 = _lucas_u(p, q, n)
-    assert _lucas_u(p, q, n, m) == (u % m, u1 % m)
-
-
-def test_kernel_without_division_at_p_zero():
-    # U(0, Q) = 0, 1, 0, -Q, 0, Q^2, ...: the exact route cannot divide by P = 0.
-    # No family has P = 0 (D = -4Q is negative or the square 4), so the kernel is called directly.
-    for q in (1, -1):
-        assert [_lucas_u(0, q, n)[0] for n in range(41)] == iterate(0, -q, 0, 1, 41)
+@given(st.integers(0, 10 ** 30), st.integers(1, 10 ** 30))
+def test_pair_mod_matches_the_reduced_matrix_power_at_huge_indices(n, drawn):
+    # [[6, -1], [1, 0]]^n = [[B(n+1), -B(n)], [B(n), -B(n-1)]] and C(n) = B(n+1) - 3 B(n),
+    # at indices that no exact route reaches.
+    for m in (*EDGE_MODULI, drawn):
+        (b1, _), (b, _) = mat_pow(((6, -1), (1, 0)), n, m)
+        assert pair_mod(n, m) == (b % m, (b1 - 3 * b) % m)
 
 
 def test_kernel_rejects_q_other_than_plus_minus_one():
@@ -400,7 +385,7 @@ POWERS_OF_TWO = sorted(2 ** k + d for k in range(1, 11) for d in (-1, 0, 1))
 MOVES = st.one_of(st.tuples(st.just("at"), st.integers(LO, HI) | st.sampled_from(POWERS_OF_TWO)),
                   st.tuples(st.sampled_from(("again", "down", "sibling")), st.just(0)))
 # Calls over two records, so that most calls meet a ladder of their own (P, Q);
-# a modulus of None is an exact call.
+# a modulus of None is an exact call, any other a pair_mod call.
 CALLS = st.tuples(st.sampled_from(RECORDS), st.sampled_from(RECORDS)).flatmap(lambda two: st.lists(
     st.tuples(st.sampled_from(two), MOVES, st.none() | st.sampled_from(EDGE_MODULI)),
     min_size=1, max_size=40))
@@ -415,9 +400,9 @@ def test_resumed_ladder_equals_a_cold_one_and_the_linear_pass(calls):
             n = min(max({"at": at, "again": n, "down": n - 1, "sibling": n ^ 1}[move], LO), HI)
             p, q, us = seq.p, seq.q, U_TERMS[seq.p, seq.q]
             prior = [(key, last, list(levels)) for key, last, levels in sequences._ladder]
-            if modulus is not None:  # the modular route keeps nothing
-                k = abs(n)
-                assert _lucas_u(p, q, k, modulus) == (us[k] % modulus, us[k + 1] % modulus)
+            if modulus is not None:  # pair_mod runs its own ladder and keeps nothing
+                k, bs = abs(n), U_TERMS[6, 1]
+                assert pair_mod(k, modulus) == (bs[k] % modulus, (bs[k + 1] - 3 * bs[k]) % modulus)
                 assert [(key, last, list(levels)) for key, last, levels in sequences._ladder] == prior
                 continue
             got = term(seq, n)
