@@ -3,8 +3,9 @@ Lucas, and generalized Fibonacci terms at arbitrary (including negative)
 indices.  Each is a Lucas record (P, Q, kind, s), so one fast-doubling routine
 gives every term and the balancing pair, and one memo serves the modules that
 revisit indices; the linear pass in `values` stays as the independent route.
-Only `term` turns U into V, and other modules read U(k) or V(k) of a (P, Q)
-through the records U(P, Q) and V(P, Q), never through the kernel itself.
+Only `term`, and `pair_fast` and `pair_mod` for C = U(n+1) - 3 U(n), turn U
+into V; other modules read U(k) or V(k) of a (P, Q) through the records
+U(P, Q) and V(P, Q), never through the kernel itself.
 
 The doubling step costs two squarings per bit.  Cassini's identity
 U(k+1) U(k-1) - U(k)^2 = -Q^(k-1) turns the cross product U(k) U(k-1) into

@@ -25,13 +25,13 @@ reciprocal hugs an integer boundary.  Should the interval reach 1, _enclose
 raises rather than fall back to a looser bracket.
 
 The enclosure's ends are unreduced integer numerator/denominator pairs:
-certify_floor takes no gcd and builds no Fraction.  Each round first tries
-the ends rounded outward by shifts to about F + 64 bits, F the floor's bit
-length, or 2F + 64 on one factor per summand, then the exact ends, which the
-same code builds unrounded.  A rounded enclosure contains the exact one at
-the same terms, so the floor and the term count are the exact path's, while
-the ends carry a few times the floor's bits rather than 5 to 11.  One exact
-cross product checks every enclosure, fresh or intersected, for order.
+certify_floor takes no gcd and builds no Fraction.  Each round makes one
+enclosure at one scale: exact for a floor of F < 256 bits, else rounded
+outward by shifts to about F + 64 bits, or 2F + 64 on one factor per summand.
+It contains the exact one at the same terms, so a floor it decides is the
+exact floor, while the ends carry a few times the floor's bits rather than 5
+to 11; a round that does not decide doubles the terms.  One exact cross
+product checks every enclosure, fresh or intersected, for order.
 """
 
 from __future__ import annotations
@@ -255,10 +255,10 @@ class CertifiedFloor(NamedTuple):
 def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor:
     """Tighten the enclosure by doubling terms (2, 4, 8, ...) until the
     reciprocal floor is the same at both endpoints; intervals are intersected
-    across rounds so refinement never widens.  Each round tries the enclosure
-    rounded outward to about F + 64 or 2F + 64 bits, then the exact one, so
-    the floor and the term count are those of the exact enclosures alone.
-    Raises UndecidedIntervalError if the budget is exhausted first."""
+    across rounds so refinement never widens.  Each round makes one enclosure,
+    exact for floors under 256 bits and otherwise rounded outward to about
+    F + 64 or 2F + 64 bits; a round that does not decide doubles the terms at
+    the same scale.  Raises UndecidedIntervalError if the budget is exhausted first."""
     _require_valid_n(spec, n)
     S, row = spec.sequence(), SHAPES[spec.shape]
     F = sum(_memo(S, row.l * spec.l * n + row.j + f).bit_length() for f in row.factors)
@@ -266,17 +266,15 @@ def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor
     # than a rounded one.  With one sequence factor per summand, 1/tail lies
     # within about 2^-F of an integer, which F + 64 bits cannot resolve: such
     # tails round to 2F + 64, and products to F + 64.
-    scales = (None,) if F < 256 else (2 if len(row.factors) == 1 else 1, None)
+    scale = None if F < 256 else 2 if len(row.factors) == 1 else 1
     current, value, terms = None, 0, 2
     while terms <= max_terms:
-        for scale in scales:
-            ends = _enclose(spec, n, terms, scale)
-            if current is not None:  # keep the larger lower end and the smaller upper end
-                (a, b, c, d), (e, f, g, h) = current, ends
-                ends = ((a, b) if a * f >= e * b else (e, f)) + ((c, d) if c * h <= g * d else (g, h))
-            lo, lo_den, hi, hi_den = ends
-            if lo <= 0 <= hi:  # ordered, but straddling 0: no floor yet
-                continue
+        ends = _enclose(spec, n, terms, scale)
+        if current is not None:  # keep the larger lower end and the smaller upper end
+            (a, b, c, d), (e, f, g, h) = current, ends
+            ends = ((a, b) if a * f >= e * b else (e, f)) + ((c, d) if c * h <= g * d else (g, h))
+        lo, lo_den, hi, hi_den = current = ends
+        if not lo <= 0 <= hi:  # an interval holding 0 pins no floor yet
             # 1/x is decreasing on either side of 0, so ends of one sign are ordered
             # when 1/S spans [1/hi, 1/lo]: when floor(1/lo) - floor(1/hi) = q is
             # positive, or 0 with the larger fractional part at 1/lo.  Each floor is
@@ -291,7 +289,6 @@ def certify_floor(spec: TailSpec, n: int, max_terms: int = 64) -> CertifiedFloor
                 raise ArithmeticError(f"inconsistent enclosures for {spec}, n={n}")
             if q == 0:
                 return CertifiedFloor(value, terms, ends)
-        current = ends
         terms *= 2
     raise UndecidedIntervalError(
         f"{spec.family}/{spec.shape} n={n}: floor undecided within {max_terms} terms"

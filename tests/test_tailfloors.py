@@ -29,6 +29,7 @@ from balkit import (
 )
 from balkit import BALANCING, LUCAS_BALANCING
 from balkit import tailfloors, verify
+from balkit.cli import _TAIL_NAMES
 
 B_SHAPE_KEYS = [s for s in SHAPES if not s.startswith("gf_")]
 G_SHAPE_KEYS = [s for s in SHAPES if s.startswith("gf_")]
@@ -375,12 +376,12 @@ def test_ratio_interval_reaching_1_raises(monkeypatch, spec):
 
 def stub_rounds(monkeypatch, rounds):
     """Make _enclose return rounds[terms], (lo_num, lo_den, hi_num, hi_den), at
-    every scale, or rounds[terms, scale] where given; record its calls."""
+    every scale; record its calls."""
     calls = []
 
     def enclose(spec, n, terms, scale=None):
         calls.append((terms, scale))
-        return rounds.get((terms, scale)) or rounds[terms]
+        return rounds[terms]
 
     monkeypatch.setattr(tailfloors, "_enclose", enclose)
     return calls
@@ -398,18 +399,26 @@ def test_certificate_intersects_rounds_until_decided(monkeypatch):
         certify_floor(TailSpec("B", "alt"), 3, max_terms=2)
 
 
-@pytest.mark.parametrize("shape, n, scales", [("alt_sq", 200, [1, None]), ("alt", 200, [2, None]),
-                                              ("alt_sq", 3, [None])])
-def test_exact_ends_decide_when_the_rounded_do_not(monkeypatch, shape, n, scales):
-    # 1/S spans [4.1, 6] on the rounded enclosures, which hold the exact one at
-    # the same terms, and [4.1, 4.9] on it: the floor is 4 at 2 terms, as unrounded.
-    # A tail of one factor per summand rounds to 2F + 64 bits, since F + 64 never
-    # decide it, a product to F + 64, and a floor of under 256 bits takes the
-    # exact enclosure alone.
-    calls = stub_rounds(monkeypatch, {2: (1, 6, 10, 41), (2, None): (10, 49, 10, 41)})
+@pytest.mark.parametrize("shape, n, scale", [("alt_sq", 200, 1), ("alt", 200, 2), ("alt_sq", 3, None)])
+def test_an_undecided_round_doubles_the_terms_at_its_scale(monkeypatch, shape, n, scale):
+    # 1/S spans [4.1, 6] at 2 terms and [4.1, 4.9] at 4: the floor is 4 at 4 terms,
+    # from one enclosure per round at the certificate's one scale.  A tail of one
+    # factor per summand rounds to 2F + 64 bits, since F + 64 never decide it, a
+    # product to F + 64, and a floor of under 256 bits takes the exact enclosure.
+    calls = stub_rounds(monkeypatch, {2: (1, 6, 10, 41), 4: (10, 49, 10, 41)})
     cert = certify_floor(TailSpec("B", shape), n)
-    assert calls == [(2, scale) for scale in scales]
-    assert (cert.value, cert.terms, cert.ends) == (4, 2, (10, 49, 10, 41))
+    assert calls == [(2, scale), (4, scale)]
+    assert (cert.value, cert.terms, cert.ends) == (4, 4, (10, 49, 10, 41))
+
+
+def test_a_round_straddling_zero_doubles_the_terms(monkeypatch):
+    # [-1/6, 10/41] holds 0, so the first round pins no floor and the second decides.
+    calls = stub_rounds(monkeypatch, {2: (-1, 6, 10, 41), 4: (10, 49, 10, 41)})
+    cert = certify_floor(TailSpec("B", "alt"), 3)
+    assert calls == [(2, None), (4, None)]
+    assert (cert.value, cert.terms, cert.ends) == (4, 4, (10, 49, 10, 41))
+    with pytest.raises(UndecidedIntervalError):
+        certify_floor(TailSpec("B", "alt"), 3, max_terms=2)
 
 
 @pytest.mark.parametrize("ends", [(10, 41, 10, 49), (-10, 49, -10, 41), (1, 6, -1, 6)],
@@ -594,6 +603,32 @@ def test_order_check_compares_fractions(b_bits, d_bits, seed, nudge, negative):
                 certify_floor(TailSpec("B", "alt"), 3)
         else:
             assert certify_floor(TailSpec("B", "alt"), 3) == (v, 2, ends)
+
+
+def test_every_certificate_takes_one_enclosure(monkeypatch):
+    # Each certificate of the plan, and of every console-script tail spec (plain
+    # l <= 6, G a <= 10) at its threshold and at n = 30, 400 and 1000, decides
+    # with one enclosure at 2 terms, rounded or exact as its floor's size chooses.
+    calls, enclose = [], tailfloors._enclose
+
+    def counted(spec, n, terms, scale=None):
+        calls.append((terms, scale))
+        return enclose(spec, n, terms, scale)
+
+    monkeypatch.setattr(tailfloors, "_enclose", counted)
+    cases = list(PLAN_CASES)
+    for fam, shape in _TAIL_NAMES.values():
+        for l in range(1, 7 if shape == "plain" else 2):
+            for a in range(1, 11 if fam == "G" else 2):
+                spec = TailSpec(fam, shape, l=l, a=a)
+                cases += [(spec, n) for n in (threshold(spec), 30, 400, 1000)]
+    scales = set()
+    for spec, n in cases:
+        calls.clear()
+        certify_floor(spec, n)
+        assert len(calls) == 1 and calls[0][0] == 2, (spec, n, calls)
+        scales.add(calls[0][1])
+    assert scales == {None, 1, 2}
 
 
 @settings(deadline=None, max_examples=60)
