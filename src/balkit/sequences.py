@@ -14,10 +14,15 @@ U(2k) from the recurrence U(2k+1) = P U(2k) - Q U(2k-1), a division by P
 that is exact because the recurrence holds in the integers.
 
 At large indices nearly all of the time goes to those squarings, which
-CPython does by Karatsuba.  From `_TOOM` bits up the kernel squares by
-Toom-3 in `_square`, five squarings of a third of the size where Karatsuba
-recursion does nine; the result is the same integer.  The Binet route of
-`quadfield` keeps the builtin product.
+CPython does by Karatsuba.  From `_FFT` bits up the kernel squares in
+`_square` by one Schönhage–Strassen transform of length M = 2^k: pieces of
+b bits, coefficients c_j < 2^(2b+k-1) < 2^N + 1 held exactly in Z/(2^N + 1),
+and the root of unity 2^(2N/M), so that every twiddle is a shift.  With M
+and N near the square root of the size, that is M log M shifts and adds of
+N-bit residues and M squarings of N bits; the result is the same integer.
+`_FFT` is where the transform overtakes the builtin product
+(BENCH_fft_square.json).  The Binet route of `quadfield` keeps the builtin
+product.
 
 The kernel keeps one ladder, its last: the expansion
 (U(2k-1), U(2k), U(2k+1)) of each parent k it doubled, about six times the
@@ -108,34 +113,80 @@ def family(letter: str, a: int = 1) -> Sequence:
     return _FAMILIES[letter]
 
 
-# The bit length from which `_square` splits its operand: below it CPython's
-# own product is as fast (Python 3.11, BENCH_toom_square.json).
-_TOOM = 20_000
+# The bit length from which `_square` transforms its operand: below it CPython's
+# own product is as fast (Python 3.11, BENCH_fft_square.json).
+_FFT = 200_000
 
 
 def _square(x: int) -> int:
-    """x * x, by Toom-3 from `_TOOM` bits up: |x| = x2 B^2 + x1 B + x0 with
-    B = 2^k and k = ceil(bits / 3), the limb polynomial squared at 0, 1, -1,
-    -2 and infinity (each through `_square`), and its five coefficients
-    interpolated by Bodrato's sequence: one exact division by 3, two exact
-    halvings, adds and shifts."""
+    """x * x, by one Schönhage–Strassen transform from `_FFT` bits up.
+
+    |x| is cut into M/2 pieces of b bits, b a multiple of 8, with M = 2^k and
+    k = (bits.bit_length() - 1) // 2, and padded with M/2 zero pieces.  The
+    M coefficients of the cyclic square, c_j < (M/2) 2^(2b) = 2^(2b+k-1), are
+    computed in Z/(2^N + 1), N the least multiple of M/2 with N >= 2b + k + 2,
+    so c_j < 2^N + 1 and each is held exactly.  There w = 2^(2N/M) is a
+    primitive M-th root of unity (w^(M/2) = 2^N = -1), so every twiddle is a
+    shift, reduced by 2^N = -1 with a mask and a shift.  The transformed
+    entries are squared by the builtin product, the inverse transform is
+    scaled by 2^(-k) = -2^(N-k), and the coefficients are summed pairwise,
+    the shift doubling at each level, so each level costs linear time.
+
+    `_FFT` is where the transform overtakes the builtin product: 1.21 times
+    its time at 1.5 * 10^5 bits and 0.94 times at 2 * 10^5 (Python 3.11.7,
+    BENCH_fft_square.json)."""
     x = abs(x)
-    if x.bit_length() < _TOOM:
+    bits = x.bit_length()
+    if bits < _FFT:
         return x * x
-    k = (x.bit_length() + 2) // 3
-    mask = (1 << k) - 1
-    x0, x1, x2 = x & mask, (x >> k) & mask, x >> 2 * k
-    p = x0 + x2
-    vm1 = p - x1
-    r0, r1, rm1, r4 = _square(x0), _square(p + x1), _square(vm1), _square(x2)
-    rm2 = _square(((vm1 + x2) << 1) - x0)  # the square at -2: x0 - 2 x1 + 4 x2
-    r3 = (rm2 - r1) // 3
-    r1 = (r1 - rm1) >> 1
-    r2 = rm1 - r0
-    r3 = ((r2 - r3) >> 1) + 2 * r4
-    r2 += r1 - r4
-    r1 -= r3
-    return r0 + (r1 << k) + (r2 << 2 * k) + (r3 << 3 * k) + (r4 << 4 * k)
+    k = (bits.bit_length() - 1) // 2
+    m, half = 1 << k, 1 << k - 1
+    size = -(-bits // (8 * half))  # bytes a piece
+    b = 8 * size
+    n = -(-(2 * b + k + 2) // half) * half
+    mod, mask = (1 << n) + 1, (1 << n) - 1
+
+    def shift(v, e):  # v 2^e mod 2^n + 1, for 0 <= v <= 2^n and 0 <= e <= 2n
+        t = v << e % n
+        r = (t & mask) - (t >> n)
+        if n <= e < 2 * n:
+            r = -r
+        return r + mod if r < 0 else r
+
+    raw = x.to_bytes(size * half, "little")
+    a = [int.from_bytes(raw[i:i + size], "little") for i in range(0, size * half, size)]
+    del raw
+    w = 2 * n // m
+    # forward transform, decimation in frequency; its first level meets the zero half
+    a += [shift(c, j * w) for j, c in enumerate(a)]
+    h, step = half // 2, 2 * w
+    while h:
+        for i in range(0, m, 2 * h):
+            for j in range(i, i + h):
+                u, v = a[j], a[j + h]
+                s, d = u + v, u - v
+                a[j] = s - mod if s >= mod else s
+                a[j + h] = shift(d + mod if d < 0 else d, (j - i) * step)
+        h, step = h // 2, 2 * step
+    for j, v in enumerate(a):
+        t = v * v
+        r = (t & mask) - (t >> n)
+        a[j] = r + mod if r < 0 else r
+    # inverse transform, decimation in time, from the bit-reversed order the forward one left
+    h, step = 1, n
+    while h < m:
+        for i in range(0, m, 2 * h):
+            for j in range(i, i + h):
+                u, v = a[j], shift(a[j + h], 2 * n - (j - i) * step)
+                s, d = u + v, u - v
+                a[j] = s - mod if s >= mod else s
+                a[j + h] = d + mod if d < 0 else d
+        h, step = 2 * h, step // 2
+    a = [shift(c, 2 * n - k) for c in a]
+    while len(a) > 1:
+        a = [lo + (hi << b) for lo, hi in zip(a[::2], a[1::2])]
+        b *= 2
+    return a[0]
 
 
 # The last exact ladder, at most one ((P, Q), n, levels): levels[j] is the
@@ -159,8 +210,8 @@ def _lucas_u(p: int, q: int, n: int) -> tuple[int, int]:
     integers.  The child 2k takes (U(2k-1), U(2k)) and 2k+1 takes
     (U(2k), U(2k+1)).  At the end U(n+1) = P U(n) - Q U(n-1).
 
-    It squares by Toom-3 (`_square`) once U(k) has `_TOOM` bits; the test
-    sits in the ladder, so that smaller steps pay no extra call.
+    It squares by the transform of `_square` once U(k) has `_FFT` bits; the
+    test sits in the ladder, so that smaller steps pay no extra call.
 
     It keeps its last ladder in `_ladder`: each level's expansion, at most
     bit_length(n) - 1 of them and about six times the size of U(n) in all,
@@ -187,7 +238,7 @@ def _lucas_u(p: int, q: int, n: int) -> tuple[int, int]:
         if j < shared:  # the last level shared with the previous ladder
             lo, mid, hi = levels[j]
         else:
-            a, b = (u * u, prev * prev) if u.bit_length() < _TOOM else (_square(u), _square(prev))
+            a, b = (u * u, prev * prev) if u.bit_length() < _FFT else (_square(u), _square(prev))
             lo, hi = a - q * b, c * a - b + two_qk  # U(2k-1), U(2k+1)
             mid = (hi + q * lo) // p  # U(2k)
             levels.append((lo, mid, hi))

@@ -7,8 +7,8 @@ right of an identity, a coefficient of the term kernel's doubling step or of
 `pair_mod`'s modular ladder, or a constant of the Binet route) and runs the
 unit of `balkit verify-all` that checks it.  A mutant that passed would mean the plan's grid never reaches the
 closed form that the constant belongs to: the grid is then fixed, never the
-mutant.  The one exception is the kernel's Toom-3 square, which serves only
-operands larger than any the plan squares; its mutants must fail the Toom
+mutant.  The one exception is the kernel's FFT square, which serves only
+operands larger than any the plan squares; its mutants must fail the FFT
 tests of test_sequences instead.
 """
 
@@ -26,7 +26,7 @@ import pytest
 import balkit
 from balkit import convolutions, genfunc, identities, quadfield, sequences, tailfloors, verify
 from test_acceptance import PLAN_COUNTS
-from test_sequences import SQUARE_CASES, TOOM_INDICES, TOOM_TERMS, cold_kernel
+from test_sequences import FFT_INDICES, FFT_PAIRS, SQUARE_CASES, cold_kernel
 
 UNIT_SIZES = dict(PLAN_COUNTS)
 
@@ -133,27 +133,27 @@ def test_modular_ladder_mutant_fails_the_identities_unit(monkeypatch, old, new):
     assert caught(verify.identities(), UNIT_SIZES["identities"])["label"].startswith("prime-congruence")
 
 
-# (expression in sequences._square, its mutant): the point -2 moved to 2, the
-# exact division by 3 made by 2, r4 = r(inf) not doubled, and each halving
+# (expression in sequences._square, its mutant): the ring bound 2b + k + 2
+# cut to 2b, the root 2^(2N/M) made 2^(N/M), the scaling by 2^(-k) dropped,
+# the inverse twiddles' sign flipped, and the negation of 2^e for e >= N
 # dropped.  The plan cannot catch these: its largest square, U(2500) in the
-# kernel unit, has about 6.4 * 10^3 bits, under `_TOOM`, so the Toom tests of
+# kernel unit, has about 6.4 * 10^3 bits, under `_FFT`, so the FFT tests of
 # test_sequences must.
-TOOM_MUTANTS = [
-    ("(vm1 + x2 << 1) - x0", "(p + x1 + x2 << 1) - x0"),
-    ("(rm2 - r1) // 3", "(rm2 - r1) // 2"),
-    ("2 * r4", "r4"),
-    ("r1 - rm1 >> 1", "r1 - rm1"),
-    ("r2 - r3 >> 1", "r2 - r3"),
+FFT_MUTANTS = [
+    ("2 * b + k + 2", "2 * b"),
+    ("2 * n // m", "n // m"),
+    ("2 * n - k", "0"),
+    ("2 * n - (j - i) * step", "(j - i) * step"),
+    ("-r", "r"),
 ]
 
 
-@pytest.mark.parametrize("old, new", TOOM_MUTANTS, ids=[f"{old} -> {new}" for old, new in TOOM_MUTANTS])
-def test_toom_mutant_fails_the_square_tests(monkeypatch, cold_memos, old, new):
+@pytest.mark.parametrize("old, new", FFT_MUTANTS, ids=[f"{old} -> {new}" for old, new in FFT_MUTANTS])
+def test_fft_mutant_fails_the_square_tests(monkeypatch, cold_memos, old, new):
     monkeypatch.setattr(sequences, "_square", recompiled(sequences._square, old, new))
     assert any(sequences._square(x) != x * x for x in SQUARE_CASES.values())
     # and the kernel, which reads `_square` from its module
-    bs, cs = TOOM_TERMS[sequences.BALANCING], TOOM_TERMS[sequences.LUCAS_BALANCING]
-    assert all(sequences.pair_fast(n) != (bs[n], cs[n]) for n in TOOM_INDICES)
+    assert all(sequences.pair_fast(n) != FFT_PAIRS[n] for n in FFT_INDICES)
 
 
 # (expression in quadfield.binet, its mutant): U over sqrt d instead of f sqrt d,

@@ -108,14 +108,17 @@ def test_generating_function_routes_share_only_the_kernel():
            (LUCAS_BALANCING, 4, 1), other_is_kernel=True)
 
 
-def test_binet_never_reaches_the_toom_square():
-    # At n = 30,000 the term kernel squares U(15,000), of 38,000 bits, by Toom-3;
-    # the Binet route keeps the builtin product, so it stays independent of that arithmetic.
-    n = 30_000
+def test_binet_and_pair_mod_never_reach_the_fft_square():
+    # At n = 160,600 the term kernel squares U(80,300), of 204,000 bits, by the
+    # FFT; the Binet route keeps the builtin product and pair_mod works on
+    # residues, so both stay independent of that arithmetic.
+    n = 160_600
     (u, _), binet_side = reach(quadfield.binet, BALANCING, n)
+    (bm, _), mod_side = reach(sequences.pair_mod, n, 2 ** 61 - 1)
     expected, kernel_side = reach(sequences.term, BALANCING, n)
-    assert u == expected
-    assert sequences._square.__code__ in kernel_side and sequences._square.__code__ not in binet_side
+    assert u == expected and bm == expected % (2 ** 61 - 1)
+    square = sequences._square.__code__
+    assert square in kernel_side and square not in binet_side and square not in mod_side
 
 
 def test_pair_mod_and_pair_fast_share_no_code():

@@ -424,73 +424,77 @@ def test_resumed_ladder_equals_a_cold_one_and_the_linear_pass(calls):
             sequences._ladder[:] = kept
 
 
-# -- Toom-3 squaring -----------------------------------------------------------------
+# -- FFT squaring -------------------------------------------------------------------
 
-TOOM = sequences._TOOM
+FFT = sequences._FFT
 
 
 @st.composite
 def square_operands(draw):
-    """+-(x2 B^2 + x1 B + x0), B = 2^k, from just below `_TOOM` bits to about
-    4 times it.  x2 has k - 2 to k bits, so `_square` splits at this k; its top
-    limb is then never 0, and 1 is its smallest.  x1 and x0 are 0, 1, B - 1
-    or any limb: a zero middle or low limb, and a middle limb larger than the
-    others' sum, whose square at -1 is of a negative value."""
-    k = draw(st.integers(TOOM // 3 - 4, 4 * TOOM // 3))
-    limb = st.sampled_from((0, 1, (1 << k) - 1)) | st.integers(0, (1 << k) - 1)
-    x2 = draw(st.sampled_from((1 << k - 3, (1 << k) - 1)) | st.integers(1 << k - 3, (1 << k) - 1))
-    x = (x2 << 2 * k) + (draw(limb) << k) + draw(limb)
+    """+-x of m bits, from just below `_FFT` to about 8 times it: random bits
+    (from a drawn seed, since hypothesis draws no integers this large), all
+    ones (2^m - 1, which pushes every coefficient c_j to its bound), a power
+    of two, or a sparse pattern of a few set bits."""
+    m = draw(st.integers(FFT - 8, 8 * FFT))
+    form = draw(st.sampled_from(("random", "ones", "power", "sparse")))
+    top = 1 << m - 1
+    if form == "random":
+        x = random.Random(draw(st.integers(0, 2 ** 32))).getrandbits(m) | top
+    elif form == "ones":
+        x = 2 * top - 1
+    else:
+        bits = draw(st.sets(st.integers(0, m - 2), max_size=8)) if form == "sparse" else ()
+        x = top | sum(1 << i for i in bits)
     return x if draw(st.booleans()) else -x
 
 
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=40)
 @given(square_operands())
-def test_toom_square_equals_the_builtin_product(x):
+def test_fft_square_equals_the_builtin_product(x):
     assert sequences._square(x) == x * x
 
 
+# k = (bits.bit_length() - 1) // 2 steps from 8 to 9 at 2^18 bits and from 9
+# to 10 at 2^20; at those two and at 2^19 (k = 9) every piece is full.  At
+# 614,400 = 300 * 8 * 256 bits (k = 9, M/2 = 256 pieces) every piece holds
+# exactly 300 bytes; one bit less leaves the top piece a bit short, and one
+# bit more makes every piece 301 bytes.
+SQUARE_BITS = [2 ** e + d for e in (18, 19, 20) for d in (-1, 0, 1)] + [614_399, 614_400, 614_401]
 _rng = random.Random(3301)
-# 0, +-1, 2^m and 2^m - 1 at bit lengths on both sides of `_TOOM`, and
-# operands of 3 * 10^5 bits and more, whose split recurses several levels.
 SQUARE_CASES = {"0": 0, "1": 1, "-1": -1} | {
-    sign + name.format(m): s * (2 ** m - d) for m in (TOOM - 1, TOOM, TOOM + 1, 3 * TOOM, 300_001)
-    for d, name in ((0, "2^{}"), (1, "(2^{}-1)")) for s, sign in ((1, ""), (-1, "-"))} | {
-    f"{sign}random {bits} bits": s * (_rng.getrandbits(bits) | 1 << bits - 1)
-    for bits in (300_000, 450_001) for s, sign in ((1, ""), (-1, "-"))}
+    f"{form} {m} bits": x for m in SQUARE_BITS
+    for form, x in (("ones", 2 ** m - 1), ("-ones", 1 - 2 ** m), ("power", 2 ** (m - 1)),
+                    ("random", _rng.getrandbits(m) | 1 << m - 1))}
 
 
 @pytest.mark.parametrize("x", SQUARE_CASES.values(), ids=SQUARE_CASES)
-def test_toom_square_pinned_cases(x):
+def test_fft_square_pinned_cases(x):
     assert sequences._square(x) == x * x
 
 
-def linear(seq, indices):
-    """{n: S(n)} for the given n >= 0, by the recurrence of `values` run from
-    S(0) and S(1), keeping only the wanted terms."""
-    prev, cur, out = term(seq, 0), term(seq, 1), {}
-    for n in range(max(indices) + 1):
-        if n in indices:
-            out[n] = prev
-        prev, cur = cur, seq.p * cur - seq.q * prev
-    return out
+# Past the threshold: U(k) reaches `_FFT` bits near k = 78,700 for B and C,
+# 116,000 for G(3) and 288,000 for F, and the ladder of n squares U(n // 2).
+# At 160,600 and 167,000 its top squares cut U(n // 2) into pieces of 200 and
+# 208 bytes, where 2b is itself a multiple of M/2, so a ring bound short of
+# 2b + k - 1 would show; 160,601 resumes 160,600's ladder and 167,000 shares
+# its top levels.  The linear pass is too slow at these indices, so the
+# kernel is checked against the Binet route, pair_mod and C^2 - 8 B^2 = 1.
+FFT_INDICES = (160_600, 160_601, 167_000)
+FFT_PAIRS = {n: binet_pair(n) for n in FFT_INDICES}
 
 
-# Above the threshold: U(k) reaches `_TOOM` bits at k near 7,900 for B and C,
-# 11,600 for G(3) and 28,800 for F, and the ladder of n squares U(n // 2).
-TOOM_INDICES = (20000, 20001, 40000)
-TOOM_TERMS = {seq: linear(seq, indices) for seq, indices in [
-    (BALANCING, TOOM_INDICES), (LUCAS_BALANCING, TOOM_INDICES),
-    (gen_fibonacci(3), {40000, 40001}), (FIBONACCI, {65536, 65537})]}
-
-
-def test_kernel_above_the_toom_threshold():
-    bs, cs = TOOM_TERMS[BALANCING], TOOM_TERMS[LUCAS_BALANCING]
+def test_kernel_above_the_fft_threshold():
+    m = 2 ** 61 - 1
     with cold_kernel():
-        resumed = [pair_fast(n) for n in TOOM_INDICES]  # 20001 resumes 20000's ladder
+        resumed = [pair_fast(n) for n in FFT_INDICES]
         cold = []
-        for n in TOOM_INDICES:
+        for n in FFT_INDICES:
             sequences._ladder.clear()
             cold.append(pair_fast(n))
-        assert resumed == cold == [(bs[n], cs[n]) for n in TOOM_INDICES]
-        for seq in (gen_fibonacci(3), FIBONACCI):
-            assert {n: term(seq, n) for n in TOOM_TERMS[seq]} == TOOM_TERMS[seq]
+        assert resumed == cold == [FFT_PAIRS[n] for n in FFT_INDICES]
+        for n, (b, c) in zip(FFT_INDICES, cold):
+            assert c * c - 8 * b * b == 1, n
+            assert (b % m, c % m) == pair_mod(n, m), n
+        # two Q = -1 families, whose 2 Q^k alternates in sign between squares
+        for seq, n in ((gen_fibonacci(3), 240_000), (FIBONACCI, 600_000)):
+            assert term(seq, n) == binet(seq, n)[0], seq
