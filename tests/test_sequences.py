@@ -472,6 +472,24 @@ def test_fft_square_pinned_cases(x):
     assert sequences._square(x) == x * x
 
 
+# The operands pinned for the Toom-3 square that the FFT replaced, kept under
+# their old name: 0, +-1, 2^m and 2^m - 1 on both sides of its 20,000-bit
+# threshold and at 60,000 bits, which `_square` now hands to the builtin, and
+# at 300,001 bits and random operands of 3 * 10^5 and 450,001, which it
+# squares by the FFT at k = 9.
+_toom_rng = random.Random(3301)
+TOOM_SQUARE_CASES = {"0": 0, "1": 1, "-1": -1} | {
+    sign + name.format(m): s * (2 ** m - d) for m in (19_999, 20_000, 20_001, 60_000, 300_001)
+    for d, name in ((0, "2^{}"), (1, "(2^{}-1)")) for s, sign in ((1, ""), (-1, "-"))} | {
+    f"{sign}random {bits} bits": s * (_toom_rng.getrandbits(bits) | 1 << bits - 1)
+    for bits in (300_000, 450_001) for s, sign in ((1, ""), (-1, "-"))}
+
+
+@pytest.mark.parametrize("x", TOOM_SQUARE_CASES.values(), ids=TOOM_SQUARE_CASES)
+def test_toom_square_pinned_cases(x):
+    assert sequences._square(x) == x * x
+
+
 # Past the threshold: U(k) reaches `_FFT` bits near k = 78,700 for B and C,
 # 116,000 for G(3) and 288,000 for F, and the ladder of n squares U(n // 2).
 # At 160,600 and 167,000 its top squares cut U(n // 2) into pieces of 200 and
