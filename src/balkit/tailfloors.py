@@ -14,15 +14,18 @@ Lucas record (closed_floor, _offset): no row keeps a table.
 
 The certification path, certify_floor, runs one enclosure, _enclose: the
 partial sum plus exact bounds on the omitted remainder, from a two-sided
-ratio interval.  With r(m) = S(m+1)/S(m), the cross identity
-S(m-1)S(m+1) - S(m)^2 = kappa(m) gives r(m) - r(m-1) = kappa(m)/(S(m-1)S(m)),
-so for every m >= M the ratio stays within s(M) = |kappa| / (S(M)S(M+1)) / (1 - g)
-of r(M), where g bounds S(m-1)/S(m+1).  That pins consecutive remainder-term
-ratios inside an interval [u_lo, u_hi] and the remainder inside exact
-geometric bounds whose width shrinks like the square of the term size - tight
-enough to separate every floor within a handful of terms even when the true
-reciprocal hugs an integer boundary.  Should the interval reach 1, _enclose
-raises rather than fall back to a looser bracket.
+ratio interval per factor at the row's stride L.  With r(c) = S(c+L)/S(c),
+the stride-L cross identity S(c-L)S(c+L) - S(c)^2 = +-kappa_L, whose
+magnitude kappa_L = |S(0)S(2L) - S(L)^2| is the same for every c as Q = +-1,
+gives r(c+L) - r(c) = +-kappa_L/(S(c)S(c+L)).  Successive differences shrink
+by S(c)/S(c+2L) <= g from c = 2 on, so from a factor's first omitted index m
+(never below 2) r stays within kappa_L / (S(m)S(m+L)) / (1 - g) of r(m).  The
+product of the row's factor intervals pins consecutive remainder-term ratios
+inside [u_lo, u_hi] and the remainder inside exact geometric bounds whose
+width shrinks like the square of the term size - tight enough to separate
+every floor within a handful of terms even when the true reciprocal hugs an
+integer boundary.  Should a factor's interval reach 1, _enclose raises
+rather than fall back to a looser bracket.
 
 The enclosure's ends are unreduced integer numerator/denominator pairs:
 certify_floor takes no gcd and builds no Fraction.  Each round makes one
@@ -148,11 +151,10 @@ def closed_floor(spec: TailSpec, n: int) -> int:
 # -- enclosures ----------------------------------------------------------------
 
 def _growth(seq: Sequence) -> tuple[int, int]:
-    """(num, den): num/den bounds S(m+1)/S(m) below, so (num/den)^steps bounds
-    the ratio of summands whose factors advance `steps` indices.  With the
-    family's (P, Q), from m = 2 on: for Q = 1 the terms increase, so
-    S(m+1) = P S(m) - S(m-1) >= (P - 1) S(m); for Q = -1,
-    S(m+1) = P S(m) + S(m-1) and S(m) <= (P + 1) S(m-1) give
+    """(num, den): num/den bounds S(m+1)/S(m) below, so (den/num)^(2L) bounds
+    S(m)/S(m+2L) above, from m = 2 on.  With the family's (P, Q): for Q = 1
+    the terms increase, so S(m+1) = P S(m) - S(m-1) >= (P - 1) S(m); for
+    Q = -1, S(m+1) = P S(m) + S(m-1) and S(m) <= (P + 1) S(m-1) give
     (P + 1) S(m+1) >= (P^2 + P + 1) S(m).
     """
     p, q = seq.p, seq.q
@@ -175,32 +177,22 @@ def _round(x: int, y: int, bits: int | None, up: bool) -> tuple[int, int]:
     return x, _shift(y, t, (x < 0) == up)
 
 
-def _power(x: int, y: int, k: int, bits: int | None, up: bool) -> tuple[int, int]:
-    """(x/y)^k for x, y > 0 and k >= 1 by squaring, rounded as _round rounds
-    after every product."""
-    x, y = p = _round(x, y, bits, up)
-    for bit in bin(k)[3:]:
-        p = _round(p[0] * p[0], p[1] * p[1], bits, up)
-        if bit == "1":
-            p = _round(p[0] * x, p[1] * y, bits, up)
-    return p
-
-
 def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tuple[int, int, int, int]:
     """tail(spec, n) in [lo_num / lo_den, hi_num / hi_den] from `terms` >= 1
     summands, n checked by the caller: the partial sum plus the ratio
-    interval's remainder bounds.  With s0 = S(M), s1 = S(M+1) and g = gn/gd,
-    S(m+1)/S(m) lies in [A-, A+] / Bq for m >= M, Bq = (gd - gn) s0 s1,
-    A-+ = (gd - gn) s1^2 -+ kappa gd, so consecutive remainder terms have ratio
-    in [Bq^s / A+^s, Bq^s / A-^s].  Raises ArithmeticError if A- <= Bq, when
-    that interval reaches 1 and bounds no remainder.
+    interval's remainder bounds.  For a factor whose first omitted index is m,
+    with s0 = S(m), s1 = S(m+L) and g = gn/gd, S(c+L)/S(c) lies in [A-, A+] / Bq
+    for every c = m + iL, Bq = (gd - gn) s0 s1, A-+ = (gd - gn) s1^2 -+ kappa gd,
+    so consecutive remainder terms have ratio in the product over the row's
+    factors of [Bq / A+, Bq / A-].  Raises ArithmeticError if some A- <= Bq,
+    when that interval reaches 1 and bounds no remainder.
 
     Given a scale, the ratio interval, the remainder bounds and the ends are
     rounded outward to about scale * F + 64 bits, F the floor's bit length as D
     and the partial sum estimate it: the result then contains the exact one."""
     seq, row = spec.sequence(), SHAPES[spec.shape]
     S, L = partial(_memo, seq), row.l * spec.l
-    start, steps = L * n + row.j, L * len(row.factors)  # summands advance `steps` indices
+    start = L * n + row.j
     idxs = list(zip(*[range(start + f, start + f + L * (terms + 1), L) for f in row.factors]))
     # Every summand is a product of distinct indices, or of one index p times,
     # so the k-th summand is +-nums[k] / D over D = (the product over every index)^p.
@@ -213,24 +205,24 @@ def _enclose(spec: TailSpec, n: int, terms: int, scale: int | None = None) -> tu
     cut = 0 if bits is None else max(0, abs(total).bit_length() - bits)
     N = [_shift(nums[terms], cut, up) for up in (False, True)]  # rounded down and up
     bn, bd = _growth(seq)
-    M = min(idxs[terms])
-    s0, s1, gn, gd = S(M), S(M + 1), bd * bd, bn * bn
-    bq = (gd - gn) * s0 * s1
-    kappa = abs(S(0) * S(2) - S(1) ** 2)  # = |S(m-1)S(m+1) - S(m)^2| for every m, as Q = +-1
-    am, ap = ((gd - gn) * s1 * s1 + e * kappa * gd for e in (-1, 1))
-    if am <= bq:
-        raise ArithmeticError(f"ratio interval reaches 1 at {spec}, n={n}")
-    # The ratio interval [a/b, c/d]: (bq/ap)^steps rounded down, (bq/am)^steps up.
-    (a, b), (c, d) = _power(bq, ap, steps, bits, False), _power(bq, am, steps, bits, True)
+    gn, gd = bd ** (2 * L), bn ** (2 * L)
+    kappa = abs(S(0) * S(2 * L) - S(L) ** 2)  # = |S(c-L)S(c+L) - S(c)^2| for every c, as Q = +-1
+    bqs = aps = ams = 1  # products of bq^p, ap^p and am^p over the factors
+    for m in set(idxs[terms]):  # each factor's first omitted index, taken p times
+        s0, s1 = S(m), S(m + L)
+        bq = (gd - gn) * s0 * s1
+        am, ap = ((gd - gn) * s1 * s1 + e * kappa * gd for e in (-1, 1))
+        if am <= bq:
+            raise ArithmeticError(f"ratio interval reaches 1 at {spec}, n={n}")
+        bqs, aps, ams = bqs * bq ** p, aps * ap ** p, ams * am ** p
+    # The ratio interval [a/b, c/d]: bqs/aps rounded down, bqs/ams up.
+    (a, b), (c, d) = _round(bqs, aps, bits, False), _round(bqs, ams, bits, True)
     if row.alternating:
         # R/mag lies in the nested fixed interval of y -> 1 - u*y.
         w = b * d - a * c
         (a, b), (c, d) = _round((d - c) * b, w, bits, False), _round((b - a) * d, w, bits, True)
-    else:  # R/mag lies in [1/(1 - a/b), 1/(1 - c/d)], and at most rho/(rho - rd)
-        rho, rd = bn ** steps, bd ** steps
+    else:  # R/mag lies in [1/(1 - a/b), 1/(1 - c/d)]
         (a, b), (c, d) = (b, b - a), (d, d - c)
-        if rho * d <= c * (rho - rd):
-            c, d = rho, rho - rd
     lo, hi = _round(a * N[0], b, bits, False), _round(c * N[1], d, bits, True)
     # An end is (total + sign * a/b) / D, sign that of the first omitted summand.
     sign = -1 if row.alternating and (n + terms) % 2 else 1

@@ -7,9 +7,11 @@ right of an identity, a coefficient of the term kernel's doubling step or of
 `pair_mod`'s modular ladder, or a constant of the Binet route) and runs the
 unit of `balkit verify-all` that checks it.  A mutant that passed would mean the plan's grid never reaches the
 closed form that the constant belongs to: the grid is then fixed, never the
-mutant.  The one exception is the kernel's FFT square, which serves only
+mutant.  There are two exceptions.  The kernel's FFT square serves only
 operands larger than any the plan squares; its mutants must fail the FFT
-tests of test_sequences instead.
+tests of test_sequences instead.  The tail certificate's enclosure can be
+unsound and still decide every floor; its mutants must miss the deep
+textbook bracket of test_tailfloors instead.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import balkit
 from balkit import convolutions, genfunc, identities, quadfield, sequences, tailfloors, verify
 from test_acceptance import PLAN_COUNTS
 from test_sequences import FFT_INDICES, FFT_PAIRS, SQUARE_CASES, cold_kernel
+from test_tailfloors import deep_bracket_misses
 
 UNIT_SIZES = dict(PLAN_COUNTS)
 
@@ -259,6 +262,28 @@ def test_flipped_backbone_fails_the_plan(monkeypatch, shape):
     monkeypatch.setattr(tailfloors, "closed_floor", BACKBONES[shape])
     spec, _ = caught(verify.tailfloors(), UNIT_SIZES["tailfloors"])["params"]
     assert f"shape='{shape}'" in spec
+
+
+# (expression in tailfloors._enclose, its mutant): the stride-L drift kappa_L
+# dropped or read at stride 1, each factor's ratio read at S(m + 1) in place of
+# S(m + L), and the second factor's interval dropped on the product rows.  The
+# plan's certificates catch only the third and the fourth, since a floor can
+# still decide from an unsound enclosure, so each mutant must let the exact
+# enclosure miss the 40-term textbook bracket of test_tailfloors.  Dropping
+# the 1/(1 - g) factor is left out: the enclosure still contains every deep
+# bracket without it.
+ENCLOSE_MUTANTS = [
+    ("abs(S(0) * S(2 * L) - S(L) ** 2)", "0"),
+    ("S(L) ** 2", "S(1) ** 2"),
+    ("S(m + L)", "S(m + 1)"),
+    ("set(idxs[terms])", "set(idxs[terms][:1])"),
+]
+
+
+@pytest.mark.parametrize("old, new", ENCLOSE_MUTANTS, ids=[f"{old} -> {new}" for old, new in ENCLOSE_MUTANTS])
+def test_enclosure_mutant_misses_the_deep_bracket(monkeypatch, old, new):
+    monkeypatch.setattr(tailfloors, "_enclose", recompiled(tailfloors._enclose, old, new))
+    assert deep_bracket_misses()
 
 
 # -- convolutions ---------------------------------------------------------------

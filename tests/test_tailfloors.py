@@ -204,7 +204,8 @@ def test_bracket_plain_width_example():
 
 
 def test_bracket_contains_deep_refined_midpoint():
-    # Soundness probe: a much deeper certified enclosure sits inside.
+    # Soundness probe: a much deeper certified enclosure sits inside, and the
+    # exact enclosure contains a much deeper textbook bracket.
     for spec in all_specs():
         n = threshold(spec) + 1
         deep = refined_bracket(spec, n, 24)
@@ -215,6 +216,18 @@ def test_bracket_contains_deep_refined_midpoint():
             r = refined_bracket(spec, n, terms)
             assert r.lo <= mid <= r.hi, (spec, terms)
             assert b.lo <= r.lo <= r.hi <= b.hi, (spec, terms)
+    assert deep_bracket_misses() == []
+
+
+def deep_bracket_misses():
+    """The cases (spec, n, terms), over every plan spec at its threshold and the
+    next n with 2 and 4 terms, whose exact enclosure does not contain the
+    40-term textbook bracket: the enclosure's soundness, read from no digest."""
+    cases = [(spec, n) for spec in PLAN_SPECS for n in (threshold(spec), threshold(spec) + 1)]
+    assert len(cases) == 72
+    deep = {case: bracket_tail(*case, 40) for case in cases}
+    return [(spec, n, terms) for spec, n in cases for terms in (2, 4)
+            if not contains(refined_bracket(spec, n, terms), deep[spec, n])]
 
 
 def test_monotone_refinement():
@@ -271,6 +284,15 @@ def test_cross_identity_constants():
         gs = values(gen_fibonacci(a), 0, 202)
         for m in range(1, 200):
             assert gs[m - 1] * gs[m + 1] - gs[m] ** 2 == (-1) ** m
+    # At stride L the drift's magnitude kappa_L = |S(0)S(2L) - S(L)^2| is the
+    # same for every m, which the stride ratio intervals of _enclose rely on.
+    for seq in [BALANCING, LUCAS_BALANCING] + [gen_fibonacci(a) for a in range(1, 6)]:
+        s = values(seq, 0, 206)
+        for L in range(1, 7):
+            kappa = abs(s[0] * s[2 * L] - s[L] ** 2)
+            assert kappa > 0, (seq, L)
+            for m in range(L, 201):
+                assert abs(s[m - L] * s[m + L] - s[m] ** 2) == kappa, (seq, L, m)
 
 
 def test_certification_smoke_sweep():
@@ -479,12 +501,12 @@ def test_golden_certified_values_and_terms():
 def test_golden_plan_certificates():
     lines = [certificate_line(spec, n, certify_floor(spec, n, max_terms=16)) for spec, n in PLAN_CASES]
     assert len(PLAN_CASES) == 895 and len(PLAN_SPECS) == 36
-    assert digest(lines) == "a438632f02f810faa5f513b5c7cbce35e14a68e700a8fe0a0a087afba49df4d2"
+    assert digest(lines) == "183f033e80d2ae3eaa5dbc0ee785811153c7a3b27d69afcf95fb6ba4fa4952cd"
 
 
 def test_golden_certificates_at_n_1000():
     lines = [certificate_line(spec, 1000, certify_floor(spec, 1000)) for spec in N1000_SPECS]
-    assert digest(lines) == "15d40dde16cf3d0a4e3a5826b33e5533784331020eaf55132cc15d6fbd16285e"
+    assert digest(lines) == "9804ba9b3325443e709ece8d7fb96c32adcaecf76e6cf1af816505c687ae5745"
 
 
 def test_golden_closed_floors():
@@ -514,7 +536,7 @@ def test_golden_refined_brackets():
             for terms in (2, 4, 8, 16):
                 fields = [spec.family, spec.shape, spec.l, spec.a, n, terms]
                 lines.append(" ".join(map(str, fields + endpoint_fields(refined_bracket(spec, n, terms)))))
-    assert digest(lines) == "680ec66b60739c47800e34147873129211e6881d08674db6bad8d75f5a2d18b6"
+    assert digest(lines) == "1646d5f477ba85c08f526572c59fbd36c9d33e4a09a26c5c699f56102f8d0d25"
 
 
 def contains(outer, inner):
