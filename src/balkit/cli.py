@@ -7,6 +7,11 @@ other arithmetic failure, 2 usage error.  Reports print as text by default or
 as canonical JSON (--format json); --output writes the JSON report to a file
 either way.  Big integers are serialized as decimal strings, and an identity
 report lists only its failing cases.
+
+Each command is a fresh process, so each imports only the layers it runs:
+at import this module loads `sequences` alone, and a command imports the
+rest.  `seq` writes its terms from an exact decimal recurrence, since
+CPython writes an int in decimal in quadratic time.
 """
 
 from __future__ import annotations
@@ -17,22 +22,30 @@ import sys
 import time
 from functools import partial
 
-from . import convolutions as conv
-from . import genfunc
 from . import sequences as seqs
-from . import tailfloors as tails
-from . import verify
 
 SCHEMA_VERSION = 1
 
 
 def __getattr__(name: str):
-    # Importing the process pool costs more than most commands run, so it loads on first use.
+    # Each costs more to import than most commands run, so it loads on first use,
+    # and a command reads it through the module, so one bound here after import is used.
     if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from concurrent.futures import ProcessPoolExecutor as value
+    elif name == "_TAIL_NAMES":
+        from . import tailfloors as tails
+        value = {f"{shape.replace('_', '-')}-{fam}": (fam, shape)
+                 for shape, row in tails.SHAPES.items() for fam in row.families}
+    elif name == "_EXACT":
+        # Integer arithmetic in decimal: every result fits the precision, and a
+        # rounding would raise, so `seq` never writes a wrong digit.
+        import decimal
+        value = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                traps=[decimal.Inexact, decimal.Rounded])
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def render_json(report: dict) -> str:
@@ -60,9 +73,29 @@ def _emit(report: dict, args, text_lines: list[str]) -> None:
 # -- seq -----------------------------------------------------------------------
 
 def cmd_seq(args) -> tuple:
+    # The linear pass of `sequences.values`, run in exact decimal: CPython writes
+    # an int in decimal in quadratic time, and a Decimal in linear time.
+    from decimal import Decimal, localcontext
+
+    def exact(v: int) -> Decimal:
+        # Decimal(int) is quadratic too, so a seed past 2^15 bits, where halving
+        # starts to pay (Python 3.11), is built from its halves.
+        if v.bit_length() <= 1 << 15:
+            return Decimal(v)
+        w = v.bit_length() // 2
+        return exact(v >> w) * Decimal(2) ** w + exact(v & ((1 << w) - 1))
+
     family = seqs.family(args.family, args.a)
-    items = [{"n": n, "value": str(v)}
-             for n, v in enumerate(seqs.values(family, args.start, args.stop), args.start)]
+    if args.start > args.stop:
+        raise ValueError(f"empty range: start {args.start} > stop {args.stop}")
+    p, q = family.p, family.q
+    items = []
+    with localcontext(sys.modules[__name__]._EXACT):
+        prev = exact(seqs.term(family, args.start))
+        cur = exact(seqs.term(family, args.start + 1))
+        for n in range(args.start, args.stop + 1):
+            items.append({"n": n, "value": str(prev)})
+            prev, cur = cur, p * cur - q * prev
     params = {"family": args.family, "from": args.start, "to": args.stop}
     if args.family == "G":
         params["a"] = args.a
@@ -74,6 +107,8 @@ def cmd_seq(args) -> tuple:
 # -- gf ------------------------------------------------------------------------
 
 def cmd_gf(args) -> tuple:
+    from . import genfunc
+
     family = seqs.family(args.family)
     g = genfunc.gf(family, args.k, args.r)
     lines = [str(g)]
@@ -97,17 +132,19 @@ def cmd_gf(args) -> tuple:
 
 # -- conv ----------------------------------------------------------------------
 
-def _run_routes(item: dict, mode: str, routes: dict) -> tuple[int, list[str]]:
+def _run_routes(item: dict, mode: str, routes: dict,
+                undecided: tuple = ()) -> tuple[int, list[str]]:
     """conv and tailfloor: run the route `mode` names, or both, each returning
-    (value, text note).  The first ArithmeticError ends the item; item["ok"]
-    is set when both routes ran.  Returns (failed, text lines)."""
+    (value, text note).  The first ArithmeticError ends the item, as
+    "undecided" if it is one of the `undecided` classes and "error" otherwise;
+    item["ok"] is set when both routes ran.  Returns (failed, text lines)."""
     width = max(map(len, routes)) + 1
     lines = []
     for name in [mode] if mode in routes else routes:
         try:
             value, note = routes[name]()
         except ArithmeticError as exc:
-            key = "undecided" if isinstance(exc, tails.UndecidedIntervalError) else "error"
+            key = "undecided" if isinstance(exc, undecided) else "error"
             item[key] = str(exc)
             return 1, lines + [f"{key}: {exc}"]
         item[name] = str(value)
@@ -120,6 +157,8 @@ def _run_routes(item: dict, mode: str, routes: dict) -> tuple[int, list[str]]:
 
 
 def cmd_conv(args) -> tuple:
+    from . import convolutions as conv
+
     family = seqs.family(args.family)
     item: dict = {"k": args.k, "r": args.r, "n": args.n}
     failed, lines = _run_routes(item, args.method, {
@@ -134,13 +173,14 @@ _BOUNDS = {"max": 40, "max_prime": 1000}  # the defaults of --max and --max-prim
 
 
 def cmd_identity(args) -> tuple:
+    from . import verify
+
     check, grid = verify.identity_sweep(args.name, args.max, args.max_prime)
     # A sweep reads one bound; the other is a usage error unless it keeps its default.
     for bound, default in _BOUNDS.items():
         if bound != verify.IDENTITY_GRIDS[args.name][1] and getattr(args, bound) != default:
             raise ValueError(f"{args.name} does not read --{bound.replace('_', '-')}")
     evaluate = partial(verify.failure, check)
-    # The pool class is read through the module, so one bound there after import is used.
     if args.jobs > 1 and len(grid) >= 256:
         chunk = max(16, len(grid) // (args.jobs * 8))
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -159,15 +199,13 @@ def cmd_identity(args) -> tuple:
 
 # -- tailfloor -------------------------------------------------------------------
 
-_TAIL_NAMES = {f"{shape.replace('_', '-')}-{fam}": (fam, shape)
-               for shape, row in tails.SHAPES.items() for fam in row.families}
-
-
 def cmd_tailfloor(args) -> tuple:
-    if args.spec not in _TAIL_NAMES:
-        raise ValueError(f"unknown tail spec {args.spec!r}; known: "
-                         + ", ".join(sorted(_TAIL_NAMES)))
-    fam, shape = _TAIL_NAMES[args.spec]
+    from . import tailfloors as tails
+
+    names = sys.modules[__name__]._TAIL_NAMES
+    if args.spec not in names:
+        raise ValueError(f"unknown tail spec {args.spec!r}; known: " + ", ".join(sorted(names)))
+    fam, shape = names[args.spec]
     spec = tails.TailSpec(fam, shape, l=args.l, a=args.a)
     item: dict = {"spec": args.spec, "n": args.n, "l": spec.l, "a": spec.a}
 
@@ -178,13 +216,15 @@ def cmd_tailfloor(args) -> tuple:
 
     failed, lines = _run_routes(item, args.mode,
                                 {"closed": lambda: (tails.closed_floor(spec, args.n), ""),
-                                 "verified": verified})
+                                 "verified": verified}, tails.UndecidedIntervalError)
     return {"spec": args.spec, "mode": args.mode}, [item], 1, failed, lines
 
 
 # -- verify-all ------------------------------------------------------------------
 
 def cmd_verify_all(args) -> tuple:
+    from . import verify
+
     if args.budget is not None and not 0 <= args.budget < float("inf"):  # NaN compares false
         raise ValueError(f"--budget must be finite and at least 0, got {args.budget}")
     deadline = float("inf") if args.budget is None else time.perf_counter() + args.budget

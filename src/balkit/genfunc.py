@@ -5,7 +5,6 @@ their exact power-series expansion.  One formula in the Lucas parameters
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .sequences import Sequence, term
 
@@ -72,6 +71,8 @@ def expand(g: RationalGF, count: int) -> list[int]:
             acc -= g.denom[i] * coeffs[n - i]
         c, rem = divmod(acc, d0)
         if rem:
+            from fractions import Fraction  # only to word the error; a `gf` run loads no fractions
+
             raise ArithmeticError(f"non-integer series coefficient at t^{n}: {Fraction(acc, d0)}")
         coeffs.append(c)
     return coeffs

@@ -8,8 +8,12 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from balkit.cli import main, render_json
 
@@ -56,6 +60,71 @@ def test_seq_gen_fibonacci_records_a(capsys):
     assert [it["value"] for it in report["items"]] == ["5", "-2", "1", "0", "1", "2", "5"]
     code, out, _ = run(capsys, "seq", "B", "--from", "0", "--to", "3", "--format", "json")
     assert "a" not in json.loads(out)["params"]
+
+
+def unlimited_str(values) -> list[str]:
+    # str of each int, past the 4300 digits that Python 3.11+ converts by default.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def main_output(*argv) -> tuple[int, str, str]:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["B", "C", "F", "L", "G1", "G2", "G3", "G4"]),
+       st.integers(min_value=-22_000, max_value=22_000), st.integers(min_value=0, max_value=12))
+@example("B", 5_650, 3)  # B(5650) has 4,308 digits
+@example("F", -20_600, 0)  # one term, F(-20600) has 4,305 digits
+@example("G4", -7_000, 2)
+@example("B", -14_000, 1)  # seeds past 2^15 bits, built from their halves
+@example("C", 20_000, 0)
+def test_seq_report_values_are_the_linear_pass(name, start, span):
+    # The report renders the terms in decimal, not via str(int): each value, in
+    # JSON and in text, must be the string of the integer pass `values` makes.
+    from balkit.sequences import family, values
+
+    letter, a = name[0], int(name[1:] or 1)
+    argv = ["seq", letter, "--from", str(start), "--to", str(start + span)]
+    argv += ["--a", str(a)] if letter == "G" else []
+    want = unlimited_str(values(family(letter, a), start, start + span))
+    code, out, err = main_output(*argv, "--format", "json")
+    assert (code, err) == (0, "")
+    items = json.loads(out)["items"]
+    assert [it["n"] for it in items] == list(range(start, start + span + 1))
+    assert [it["value"] for it in items] == want
+    code, out, err = main_output(*argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == " ".join(want)
+
+
+def test_seq_empty_range_exit_2(capsys):
+    code, out, err = run(capsys, "seq", "F", "--from", "3", "--to", "2")
+    assert (code, out, err) == (2, "", "error: empty range: start 3 > stop 2\n")
+
+
+def test_seq_rounding_is_an_error_not_a_wrong_digit(capsys, monkeypatch):
+    # seq's decimal arithmetic is exact because its precision holds every term;
+    # with 28 digits, B(38) and past would round, and the traps must end the run.
+    from balkit import cli
+
+    context = cli._EXACT.copy()
+    context.prec = 28
+    monkeypatch.setattr(cli, "_EXACT", context)
+    code, out, err = run(capsys, "seq", "B", "--from", "0", "--to", "100")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [("seq", "B", "--a", "3", "--from", "0", "--to", "3"),
@@ -462,17 +531,40 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# The balkit modules each command loads, and whether it loads fractions and decimal.
+COMMAND_IMPORTS = [
+    ((), {"sequences"}, False, False),
+    (("seq", "B", "--from", "0", "--to", "30"), {"sequences"}, False, True),
+    (("gf", "B", "--k", "3", "--r", "1"), {"sequences", "genfunc"}, False, False),
+    (("tailfloor", "alt-even-sq-C", "--n", "20"), {"sequences", "tailfloors"}, False, False),
+    (("conv", "B", "--k", "3", "--r", "1", "--n", "10"),
+     {"sequences", "quadfield", "convolutions"}, True, True),
+]
+
+
 def test_cli_import_skips_pool_and_dataclasses():
-    # Each balkit command is a fresh process, so a module loaded at start-up costs every command.
+    # Each balkit command is a fresh process, so a module loaded at start-up costs
+    # every command, and each command loads only the layers it runs.
     import balkit
 
     src = os.path.dirname(os.path.dirname(balkit.__file__))
-    probe = "import sys, balkit.cli; balkit.cli.build_parser(); print(*sorted(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True).stdout.split()
-    assert "balkit.cli" in out
-    heavy = {"concurrent.futures.process", "multiprocessing", "dataclasses", "inspect"}
-    assert heavy.isdisjoint(out)
+    for argv, layers, fractions, decimal in COMMAND_IMPORTS:
+        probe = ("import io, sys, balkit.cli\n"
+                 "balkit.cli.build_parser()\n"
+                 f"argv = {list(argv)!r}\n"
+                 "sys.stdout = io.StringIO()\n"
+                 "code = balkit.cli.main(argv) if argv else 0\n"
+                 "sys.stdout = sys.__stdout__\n"
+                 "print(code, *sorted(sys.modules))\n")
+        code, *out = subprocess.run([sys.executable, "-c", probe],
+                                    env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                                    text=True, check=True).stdout.split()
+        assert code == "0", argv
+        assert {m for m in out if m.split(".")[0] == "balkit"} == \
+            {"balkit", "balkit.cli"} | {f"balkit.{layer}" for layer in layers}, argv
+        assert ("fractions" in out, "decimal" in out) == (fractions, decimal), argv
+        heavy = {"concurrent.futures.process", "multiprocessing", "dataclasses", "inspect"}
+        assert heavy.isdisjoint(out), argv
 
 
 def test_seq_json_memory_stays_near_the_report(tmp_path):
