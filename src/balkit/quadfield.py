@@ -37,9 +37,7 @@ def _zmul(d: int, a: int, b: int, c: int, e: int) -> tuple[int, int]:
 
 
 def _times(d: int, n: tuple, m: tuple) -> tuple:
-    """The product of two numerator tuples, on n's floor; m is never longer than n."""
-    if len(m) == 1:
-        return tuple([x * m[0] for x in n])
+    """The product n*m on n's floor; m has 2 numerators or as many as n, never 1 (a rational)."""
     if len(n) == 2:
         return _zmul(d, n[0], n[1], m[0], m[1])
     if len(m) == 2:
@@ -47,19 +45,6 @@ def _times(d: int, n: tuple, m: tuple) -> tuple:
     a, b, c, e = _times(d, n, m[:2])  # n * (x + y*i) = n*x + n*y*i, with i*i = -1
     f, g, h, k = _times(d, n, m[2:])
     return a - h, b - k, c + f, e + g
-
-
-def _invert(d: int, n: tuple) -> tuple[tuple, int]:
-    """1/n as (numerators, positive denominator): the conjugate over the norm,
-    which vanishes only at n = 0 (sqrt(d) is irrational, and re^2 + im^2 > 0)."""
-    if len(n) > 1:
-        h = len(n) // 2
-        conj = n[:h] + tuple([-y for y in n[h:]])
-        m, r = _invert(d, _times(d, n, conj)[:h])
-        return _times(d, conj, m), r
-    if not n[0]:
-        raise ZeroDivisionError("division by zero in the field tower")
-    return ((1,), n[0]) if n[0] > 0 else ((-1,), -n[0])
 
 
 def _parts(v) -> tuple[tuple, int] | None:
@@ -165,9 +150,11 @@ class _Extension:
         return (self * self.conjugate())._x
 
     def inverse(self):
-        m, r = _invert(self.d, self._n)
-        m = tuple([x * self._q for x in m])
-        return _make(type(self), m, r, self.d, gcd(r, *m))
+        """The conjugate over the norm, which is 0 only at 0 (sqrt(d) irrational, re^2 + im^2 > 0);
+        a GaussQuad's norm is a QuadRat, inverted one floor down, where the norm is a Fraction."""
+        if not any(self._n):
+            raise ZeroDivisionError("division by zero in the field tower")
+        return self.conjugate() * (1 / self.norm())
 
     def __truediv__(self, other):
         if self._operand(other) is None:

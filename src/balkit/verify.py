@@ -3,18 +3,16 @@
 Each unit yields cases (label, check, args); check(*args) is a Verdict on two
 independent routes.  Library functions are looked up on their modules as a
 case runs, so one wrapped or replaced there after import is the one checked.
+Each unit imports the layers it checks when it starts, so `balkit identity`
+loads only `identities` and `sequences`; `verify-all` runs every unit.
 """
 
 from __future__ import annotations
 
 import time
 
-from . import convolutions as conv
-from . import genfunc as gen
 from . import identities as ident
-from . import quadfield
 from . import sequences as seqs
-from . import tailfloors as tails
 
 # name -> (identities check, the bound its grid reads, grid of parameter tuples up to that bound)
 IDENTITY_GRIDS = {
@@ -56,6 +54,8 @@ def _agree(lhs, rhs) -> ident.Verdict:
 
 def kernel():
     """Fast doubling and Binet against the linear pass of `values`; C(n)^2 - 8B(n)^2 = 1."""
+    from . import quadfield
+
     bs = seqs.values(seqs.BALANCING, 0, 5001)
     cs = seqs.values(seqs.LUCAS_BALANCING, 0, 5001)
 
@@ -85,6 +85,9 @@ def identities():
 
 def genfunc():
     """Expansions against terms (k <= 6) and squares against brute convolutions."""
+    from . import convolutions as conv
+    from . import genfunc as gen
+
     def expansion(family, k, r):
         return _agree(gen.expand(gen.gf(family, k, r), 50),
                       [seqs.term(family, k * i + r) for i in range(50)])
@@ -105,6 +108,8 @@ def genfunc():
 
 def convolutions():
     """Closed forms, which raise CancellationError on any residue, against brute force."""
+    from . import convolutions as conv
+
     def check(family, k, r, n):
         return _agree(conv.conv_closed(family, k, r, n), conv.brute_conv(family, k, r, n))
 
@@ -117,6 +122,8 @@ def convolutions():
 
 def tailfloors():
     """Closed floors against interval certificates of at most 16 terms."""
+    from . import tailfloors as tails
+
     def check(spec, n):
         return _agree(tails.closed_floor(spec, n), tails.verified_floor(spec, n, max_terms=16))
 

@@ -539,6 +539,9 @@ COMMAND_IMPORTS = [
     (("tailfloor", "alt-even-sq-C", "--n", "20"), {"sequences", "tailfloors"}, False, False),
     (("conv", "B", "--k", "3", "--r", "1", "--n", "10"),
      {"sequences", "quadfield", "convolutions"}, True, True),
+    (("identity", "gcd", "--max", "5"), {"sequences", "identities", "verify"}, False, False),
+    (("identity", "prime-congruence", "--max-prime", "50"),
+     {"sequences", "identities", "verify"}, False, False),
 ]
 
 

@@ -230,6 +230,21 @@ def deep_bracket_misses():
             if not contains(refined_bracket(spec, n, terms), deep[spec, n])]
 
 
+def test_enclosure_outside_the_textbook_bracket_only_at_g1_n1():
+    # The stride ratio bound reads _growth's 3/2 for G(1), weak next to the golden
+    # ratio at the smallest index: with 2 terms at n = 1 the exact enclosure of
+    # gf_plain is 1.25x as wide as the textbook bracket and of gf_sq 1.015x.  No
+    # other plan case at n = t, t + 1, t + 2 pokes out, and both still decide at 2.
+    loose = {(spec, n, terms) for spec in PLAN_SPECS for n in range(threshold(spec), threshold(spec) + 3)
+             for terms in (2, 4, 8)
+             if not contains(bracket_tail(spec, n, terms), refined_bracket(spec, n, terms))}
+    known = {(TailSpec("G", shape, a=1), 1, 2) for shape in ("gf_plain", "gf_sq")}
+    assert loose <= known, loose - known
+    for spec, n, terms in known:
+        cert = certify_floor(spec, n, max_terms=terms)
+        assert (cert.value, cert.terms) == (closed_floor(spec, n), terms), spec
+
+
 def test_monotone_refinement():
     for spec in all_specs():
         n = threshold(spec)
